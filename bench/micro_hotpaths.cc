@@ -87,20 +87,57 @@ void BM_TableApplyRefresh(benchmark::State& state) {
 }
 BENCHMARK(BM_TableApplyRefresh)->Arg(100)->Arg(1000)->Arg(4000);
 
-void BM_TableLookup(benchmark::State& state) {
-  membership::MembershipTable table;
-  const int nodes = static_cast<int>(state.range(0));
+void fill_table(membership::MembershipTable& table, int nodes) {
   for (int n = 0; n < nodes; ++n) {
     table.apply(membership::make_representative_entry(
                     static_cast<membership::NodeId>(n)),
                 membership::Liveness::kDirect, membership::kInvalidNode, 0);
   }
+}
+
+// Exact service name: answered from the table's name index.
+void BM_TableLookup(benchmark::State& state) {
+  membership::MembershipTable table;
+  fill_table(table, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     auto matches = table.lookup("retriever", "2");
     benchmark::DoNotOptimize(matches.size());
   }
 }
 BENCHMARK(BM_TableLookup)->Arg(100)->Arg(1000);
+
+// A real regex: compiled and matched against every row on each call.
+void BM_TableLookupRegex(benchmark::State& state) {
+  membership::MembershipTable table;
+  fill_table(table, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto matches = table.lookup("retr.*", "2");
+    benchmark::DoNotOptimize(matches.size());
+  }
+}
+BENCHMARK(BM_TableLookupRegex)->Arg(100)->Arg(1000);
+
+// One service-changing apply per lookup, so every lookup pays an index
+// rebuild: the worst case for the index.
+void BM_TableLookupAfterChurn(benchmark::State& state) {
+  membership::MembershipTable table;
+  const int nodes = static_cast<int>(state.range(0));
+  fill_table(table, nodes);
+  membership::Incarnation incarnation = 3;
+  size_t i = 0;
+  for (auto _ : state) {
+    auto entry = membership::make_representative_entry(
+        static_cast<membership::NodeId>(i % static_cast<size_t>(nodes)),
+        ++incarnation);
+    entry.services.front().partitions.push_back(static_cast<int>(i % 7));
+    table.apply(entry, membership::Liveness::kDirect,
+                membership::kInvalidNode, 0);
+    auto matches = table.lookup("retriever", "2");
+    benchmark::DoNotOptimize(matches.size());
+    ++i;
+  }
+}
+BENCHMARK(BM_TableLookupAfterChurn)->Arg(100)->Arg(1000);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   sim::EventQueue queue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <regex>
+#include <string_view>
 
 #include "util/strings.h"
 
@@ -11,6 +12,12 @@ namespace {
 
 bool row_before(const MembershipTable::Row& row, NodeId node) {
   return row.first < node;
+}
+
+// A pattern with no ECMAScript metacharacter matches exactly the string it
+// spells, so regex_match against it is plain equality.
+bool is_exact_name(std::string_view pattern) {
+  return pattern.find_first_of("^$\\.*+?()[]{}|") == std::string_view::npos;
 }
 
 // lower_bound over a sorted row vector; returns end() if absent.
@@ -25,6 +32,7 @@ auto locate(Vec& rows, NodeId node) {
 
 void MembershipTable::flush() const {
   if (overlay_.empty()) return;
+  index_dirty_ = true;  // the merge moves rows
   const size_t mid = entries_.size();
   entries_.insert(entries_.end(), std::make_move_iterator(overlay_.begin()),
                   std::make_move_iterator(overlay_.end()));
@@ -90,15 +98,20 @@ ApplyResult MembershipTable::apply(const EntryData& data, Liveness liveness,
       return ApplyResult::kRefreshed;
     }
     entry.data = data;
+    index_dirty_ = true;
     entry.last_heard = now;
     return ApplyResult::kUpdated;
   }
 
+  // A newer incarnation always differs in `data`, so equality alone tells a
+  // refresh from an update. A refresh leaves `data` untouched: no deep copy,
+  // and the name index stays valid.
   ApplyResult result = ApplyResult::kRefreshed;
-  if (data.incarnation > entry.data.incarnation || !(entry.data == data)) {
+  if (!(entry.data == data)) {
     result = ApplyResult::kUpdated;
+    entry.data = data;
+    index_dirty_ = true;
   }
-  entry.data = data;
   entry.liveness = liveness;
   entry.relayed_by = relayed_by;
   entry.last_heard = now;
@@ -125,6 +138,7 @@ bool MembershipTable::remove(NodeId node, Incarnation incarnation,
   }
   if (it == entries_.end()) return false;
   entries_.erase(it);
+  index_dirty_ = true;
   return true;
 }
 
@@ -169,32 +183,59 @@ std::vector<NodeId> MembershipTable::node_ids() const {
   return ids;
 }
 
+void MembershipTable::rebuild_index() const {
+  // Names keep their slot (and its capacity) across rebuilds; only names no
+  // row registers any more are dropped.
+  for (auto& [name, hits] : name_index_) hits.clear();
+  for (uint32_t row = 0; row < entries_.size(); ++row) {
+    const auto& services = entries_[row].second.data.services;
+    for (uint32_t i = 0; i < services.size(); ++i) {
+      name_index_[services[i].name].push_back({row, i});
+    }
+  }
+  std::erase_if(name_index_,
+                [](const auto& slot) { return slot.second.empty(); });
+  index_dirty_ = false;
+}
+
 std::vector<const MembershipEntry*> MembershipTable::lookup(
     const std::string& service_regex,
     const std::string& partition_spec) const {
   flush();
   std::vector<const MembershipEntry*> out;
+  auto wanted = util::expand_partition_spec(partition_spec);
+  auto partition_ok = [&wanted](const ServiceRegistration& service) {
+    if (!wanted) return true;  // "*": any partition set
+    for (int p : service.partitions) {
+      if (std::binary_search(wanted->begin(), wanted->end(), p)) return true;
+    }
+    return false;
+  };
+
+  if (is_exact_name(service_regex)) {
+    if (index_dirty_) rebuild_index();
+    auto slot = name_index_.find(service_regex);
+    if (slot == name_index_.end()) return out;
+    for (const IndexHit& hit : slot->second) {
+      const MembershipEntry& entry = entries_[hit.row].second;
+      // A row registering the name twice is listed once.
+      if (!out.empty() && out.back() == &entry) continue;
+      if (partition_ok(entry.data.services[hit.service])) {
+        out.push_back(&entry);
+      }
+    }
+    return out;
+  }
+
   std::regex pattern;
   try {
     pattern = std::regex(service_regex);
   } catch (const std::regex_error&) {
     return out;  // malformed pattern matches nothing
   }
-  auto wanted = util::expand_partition_spec(partition_spec);
-
   for (const auto& [id, entry] : entries_) {
     for (const auto& service : entry.data.services) {
-      if (!std::regex_match(service.name, pattern)) continue;
-      bool partition_ok = !wanted.has_value();  // "*": any partition set
-      if (wanted) {
-        for (int p : service.partitions) {
-          if (std::binary_search(wanted->begin(), wanted->end(), p)) {
-            partition_ok = true;
-            break;
-          }
-        }
-      }
-      if (partition_ok) {
+      if (std::regex_match(service.name, pattern) && partition_ok(service)) {
         out.push_back(&entry);
         break;
       }
@@ -219,6 +260,7 @@ std::vector<NodeId> MembershipTable::expire(
     }
   }
   entries_.erase(keep, entries_.end());
+  if (!expired.empty()) index_dirty_ = true;
   return expired;
 }
 
@@ -236,6 +278,7 @@ std::vector<NodeId> MembershipTable::purge_relayed_by(NodeId leader) {
     }
   }
   entries_.erase(keep, entries_.end());
+  if (!purged.empty()) index_dirty_ = true;
   return purged;
 }
 
@@ -243,6 +286,7 @@ void MembershipTable::clear() {
   entries_.clear();
   overlay_.clear();
   tombstones_.clear();
+  index_dirty_ = true;
 }
 
 }  // namespace tamp::membership

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -87,7 +88,15 @@ class MembershipTable {
 
   // Service lookup: `service_regex` is matched against the full service
   // name; `partition_spec` ("*", "2", "1-3", "0,2") selects nodes hosting at
-  // least one listed partition. Returns matching entries sorted by node id.
+  // least one listed partition. Returns matching entries sorted by node id,
+  // each row once. A malformed pattern matches nothing.
+  //
+  // A pattern without regex metacharacters (^$\.*+?()[]{}|) is an exact
+  // name and is answered from a name index: service name -> (row,
+  // registration) pairs in node-id order. The index is rebuilt by the first
+  // exact-name lookup after a row is added or erased or a row's `data`
+  // changes; refreshes, touches and liveness changes keep it. Any other
+  // pattern is compiled and matched against every row on each call.
   std::vector<const MembershipEntry*> lookup(
       const std::string& service_regex,
       const std::string& partition_spec) const;
@@ -121,10 +130,23 @@ class MembershipTable {
   // never exposed to callers.
   MembershipEntry* find_mutable(NodeId node);
 
+  // One service registration, as the name index lists it: positions in
+  // entries_ and in that row's services, so a copied table's index stays
+  // right. Every path that inserts or erases rows or rewrites a row's
+  // `data` sets index_dirty_.
+  struct IndexHit {
+    uint32_t row;
+    uint32_t service;
+  };
+  void rebuild_index() const;
+
   sim::Duration tombstone_ttl_;
   mutable std::vector<Row> entries_;  // sorted by node id
   mutable std::vector<Row> overlay_;  // sorted, keys disjoint from entries_
   std::map<NodeId, Tombstone> tombstones_;
+  // Valid unless index_dirty_.
+  mutable std::unordered_map<std::string, std::vector<IndexHit>> name_index_;
+  mutable bool index_dirty_ = true;
 };
 
 }  // namespace tamp::membership

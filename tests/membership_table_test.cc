@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <regex>
+#include <string>
+#include <vector>
+
 #include "membership/codec.h"
 #include "membership/table.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace tamp::membership {
 namespace {
@@ -207,6 +216,159 @@ TEST(Table, NodeIdsSorted) {
     table.apply(entry(n), Liveness::kDirect, kInvalidNode, 0);
   }
   EXPECT_EQ(table.node_ids(), (std::vector<NodeId>{1, 3, 5}));
+}
+
+TEST(Table, CopiedTableLooksUpItsOwnRows) {
+  MembershipTable table;
+  table.apply(entry(1), Liveness::kDirect, kInvalidNode, 0);
+  table.apply(entry(2), Liveness::kDirect, kInvalidNode, 0);
+  ASSERT_EQ(table.lookup("retriever", "*").size(), 2u);  // index built
+  MembershipTable copy = table;
+  auto matches = copy.lookup("retriever", "*");
+  ASSERT_EQ(matches.size(), 2u);
+  EXPECT_EQ(matches[0], copy.find(1));
+  EXPECT_EQ(matches[1], copy.find(2));
+}
+
+// The lookup contract, spelled as the plain linear scan: every row (in node
+// order) that has a service whose full name matches the ECMAScript pattern
+// and which hosts a listed partition. A malformed pattern matches nothing.
+std::vector<const MembershipEntry*> reference_lookup(
+    const MembershipTable& table, const std::string& pattern_text,
+    const std::string& partition_spec) {
+  std::vector<const MembershipEntry*> out;
+  std::regex pattern;
+  try {
+    pattern = std::regex(pattern_text);
+  } catch (const std::regex_error&) {
+    return out;
+  }
+  auto wanted = util::expand_partition_spec(partition_spec);
+  for (const auto& [id, row] : table.entries()) {
+    bool hit = false;
+    for (const auto& service : row.data.services) {
+      if (!std::regex_match(service.name, pattern)) continue;
+      bool partition_ok = !wanted;  // "*": any partition set, even none
+      for (int p : service.partitions) {
+        if (wanted &&
+            std::find(wanted->begin(), wanted->end(), p) != wanted->end()) {
+          partition_ok = true;
+        }
+      }
+      hit = hit || partition_ok;
+    }
+    if (hit) out.push_back(&row);
+  }
+  return out;
+}
+
+// Random service sets over a small name pool, so names collide across rows,
+// and sometimes one name registered twice with disjoint partitions.
+std::vector<ServiceRegistration> random_services(util::Rng& rng) {
+  static const char* const kNames[] = {"index", "doc", "idx", "index2"};
+  std::vector<ServiceRegistration> services;
+  const int count = static_cast<int>(rng.uniform_int(0, 3));
+  for (int i = 0; i < count; ++i) {
+    ServiceRegistration service;
+    service.name = kNames[rng.uniform_u64(4)];
+    for (int p = 0; p < 4; ++p) {
+      if (rng.bernoulli(0.4)) service.partitions.push_back(p);
+    }
+    services.push_back(std::move(service));
+  }
+  if (rng.bernoulli(0.2)) {
+    services.push_back({"index", {0}, {}});
+    services.push_back({"index", {2}, {}});
+  }
+  return services;
+}
+
+TEST(Table, LookupMatchesRegexScanUnderChurn) {
+  const std::vector<std::string> patterns = {
+      // exact names
+      "index", "doc", "idx", "index2", "missing", "",
+      // real regexes, some using a single metacharacter
+      "ind.*", "(index|doc)", "i.*x", "doc|idx", "index\\d", "i.dex", "^doc",
+      "doc$", "ind[e]x", "id{1}x", "docs?", "do+c",
+      // malformed
+      "(unclosed", "[", "*bad"};
+  const std::vector<std::string> specs = {"*", "2", "0-1", "0,2", "3-1"};
+  constexpr NodeId kNodes = 14;
+  constexpr NodeId kRelays[] = {100, 101, 102};
+
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    MembershipTable table(5);
+    std::map<NodeId, EntryData> latest;  // last data offered per node
+    sim::Time now = 0;
+
+    for (int step = 0; step < 300; ++step) {
+      now += static_cast<sim::Time>(rng.uniform_int(0, 3));
+      const NodeId node = static_cast<NodeId>(rng.uniform_u64(kNodes));
+      const NodeId relay = kRelays[rng.uniform_u64(3)];
+      const Liveness liveness =
+          rng.bernoulli(0.5) ? Liveness::kDirect : Liveness::kRelayed;
+      EntryData& data = latest[node];
+      data.node = node;
+      switch (rng.uniform_u64(12)) {
+        case 0:  // new incarnation, maybe new services
+          ++data.incarnation;
+          if (rng.bernoulli(0.5)) data.services = random_services(rng);
+          [[fallthrough]];
+        case 1:
+        case 2:  // unchanged data: a refresh (or an add)
+          table.apply(data, liveness, relay, now, rng.bernoulli(0.2));
+          break;
+        case 3: {  // same incarnation, changed services
+          data.services = random_services(rng);
+          table.apply(data, liveness, relay, now);
+          break;
+        }
+        case 4: {  // a stale incarnation
+          EntryData stale = data;
+          if (stale.incarnation > 0) --stale.incarnation;
+          stale.services = random_services(rng);
+          table.apply(stale, liveness, relay, now);
+          break;
+        }
+        case 5:
+          table.remove(node, data.incarnation, now);
+          break;
+        case 6:
+          table.touch(node, now);
+          break;
+        case 7:
+          table.reconfirm_relay(node, relay, now);
+          break;
+        case 8:
+          table.demote_to_relayed(node, relay);
+          break;
+        case 9:
+          table.expire(now, [](const MembershipEntry& e) -> sim::Duration {
+            return e.liveness == Liveness::kRelayed ? 6 : 12;
+          });
+          break;
+        case 10:
+          table.purge_relayed_by(relay);
+          break;
+        case 11:
+          if (rng.bernoulli(0.1)) table.clear();
+          break;
+      }
+
+      // Lookup first: the reference's entries() call flushes the insert
+      // overlay, and lookup must be the one to see unflushed rows.
+      for (const auto& pattern : patterns) {
+        for (const auto& spec : specs) {
+          auto got = table.lookup(pattern, spec);
+          auto want = reference_lookup(table, pattern, spec);
+          ASSERT_EQ(got, want) << "step " << step << " pattern '" << pattern
+                               << "' spec '" << spec << "'";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
