@@ -1,5 +1,7 @@
 #include "api/config.h"
 
+#include <limits>
+
 #include "util/strings.h"
 
 namespace tamp::api {
@@ -28,7 +30,10 @@ bool apply_system_key(SystemConfig& system, const std::string& key,
   for (auto& c : upper) c = static_cast<char>(std::toupper(c));
   auto need_int = [&](int& slot) {
     auto v = parse_int(value);
-    if (!v) return set_error(error, line, "expected integer for " + key);
+    if (!v || *v < std::numeric_limits<int>::min() ||
+        *v > std::numeric_limits<int>::max()) {
+      return set_error(error, line, "expected integer for " + key);
+    }
     slot = static_cast<int>(*v);
     return true;
   };
@@ -50,7 +55,7 @@ bool apply_system_key(SystemConfig& system, const std::string& key,
   }
   if (upper == "ANTI_ENTROPY_MODE") {
     system.anti_entropy_mode = to_lower(value);
-    return true;  // vocabulary enforced once, in Build()
+    return true;  // vocabulary enforced once, in validate()
   }
   if (upper == "DIGEST_INTERVAL") {
     auto v = parse_double(value);
@@ -150,99 +155,17 @@ std::optional<MembershipConfig> parse_config(std::string_view text,
   return config;
 }
 
-MembershipConfigBuilder MembershipConfigBuilder::FromText(
-    std::string_view text) {
-  MembershipConfigBuilder builder;
-  auto parsed = parse_config(text, &builder.parse_error_);
-  if (parsed) builder.config_ = std::move(*parsed);
-  return builder;
-}
-
-MembershipConfigBuilder& MembershipConfigBuilder::replace(
-    MembershipConfig config) {
-  config_ = std::move(config);
-  parse_error_.clear();
-  return *this;
-}
-
-MembershipConfigBuilder& MembershipConfigBuilder::shm_key(int key) {
-  config_.system.shm_key = key;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::max_ttl(int ttl) {
-  config_.system.max_ttl = ttl;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::mcast_addr(std::string addr) {
-  config_.system.mcast_addr = std::move(addr);
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::mcast_port(int port) {
-  config_.system.mcast_port = port;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::mcast_freq(
-    double heartbeats_per_second) {
-  config_.system.mcast_freq = heartbeats_per_second;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::max_loss(
-    int consecutive_losses) {
-  config_.system.max_loss = consecutive_losses;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::metrics_enabled(
-    bool enabled) {
-  config_.system.metrics_enabled = enabled;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::trace_capacity(
-    size_t capacity) {
-  config_.system.trace_capacity = capacity;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::trace_kinds_mask(
-    uint64_t mask) {
-  config_.system.trace_kinds_mask = mask;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::anti_entropy_mode(
-    std::string mode) {
-  config_.system.anti_entropy_mode = std::move(mode);
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::digest_interval(
-    double seconds) {
-  config_.system.digest_interval = seconds;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::digest_max_rows_per_delta(
-    int rows) {
-  config_.system.digest_max_rows_per_delta = rows;
-  return *this;
-}
-MembershipConfigBuilder& MembershipConfigBuilder::add_service(
-    std::string name, std::string partition_spec,
-    std::map<std::string, std::string> params) {
-  ServiceConfig service;
-  service.name = std::move(name);
-  service.partition_spec = std::move(partition_spec);
-  service.params = std::move(params);
-  config_.services.push_back(std::move(service));
-  return *this;
-}
-
-Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
-  if (!parse_error_.empty()) {
-    return Status::Error("configuration file: " + parse_error_);
-  }
-  const SystemConfig& sys = config_.system;
+Status validate(const MembershipConfig& config) {
+  const SystemConfig& sys = config.system;
   if (sys.max_ttl < 1 || sys.max_ttl > 250) {
     return Status::Error(
         strformat("MAX_TTL must be in [1, 250], got %d", sys.max_ttl));
   }
-  if (sys.mcast_freq <= 0) {
-    return Status::Error("MCAST_FREQ must be positive");
+  // Written as negated ranges so NaN fails them too. Above 1e9 the
+  // heartbeat period would round to zero nanoseconds.
+  if (!(sys.mcast_freq > 0 && sys.mcast_freq <= 1e9)) {
+    return Status::Error(
+        strformat("MCAST_FREQ must be in (0, 1e9], got %g", sys.mcast_freq));
   }
   if (sys.max_loss < 1) {
     return Status::Error(
@@ -267,7 +190,7 @@ Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
     return Status::Error("ANTI_ENTROPY_MODE must be 'full' or 'digest', got '" +
                          sys.anti_entropy_mode + "'");
   }
-  if (sys.digest_interval < 0 || sys.digest_interval > 3600) {
+  if (!(sys.digest_interval >= 0 && sys.digest_interval <= 3600)) {
     return Status::Error(
         strformat("DIGEST_INTERVAL must be in [0, 3600] seconds, got %g",
                   sys.digest_interval));
@@ -278,7 +201,7 @@ Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
         strformat("DIGEST_MAX_ROWS_PER_DELTA must be in [1, 65536], got %d",
                   sys.digest_max_rows_per_delta));
   }
-  for (const auto& service : config_.services) {
+  for (const auto& service : config.services) {
     if (service.name.empty()) {
       return Status::Error("service name must not be empty");
     }
@@ -291,7 +214,6 @@ Status MembershipConfigBuilder::Build(MembershipConfig* out) const {
                            service.partition_spec + "'");
     }
   }
-  *out = config_;
   return Status::Ok();
 }
 

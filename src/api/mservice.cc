@@ -10,50 +10,45 @@ namespace tamp::api {
 MService::MService(sim::Simulation& sim, net::Network& net,
                    DirectoryStore& store, net::HostId self,
                    MembershipConfig config)
-    : sim_(sim),
-      net_(net),
-      store_(store),
-      self_(self),
-      config_(std::move(config)) {}
+    : sim_(sim), net_(net), store_(store), self_(self) {
+  adopt(std::move(config));
+}
 
 MService::MService(sim::Simulation& sim, net::Network& net,
                    DirectoryStore& store, net::HostId self,
                    const std::string& configuration)
     : sim_(sim), net_(net), store_(store), self_(self) {
   auto parsed = parse_config(configuration, &config_error_);
-  if (parsed) {
-    config_ = std::move(*parsed);
-  }  // else: defaults, with the reason kept in config_error_
+  if (parsed) adopt(std::move(*parsed));
+}
+
+void MService::adopt(MembershipConfig config) {
+  Status status = validate(config);
+  if (status.ok()) {
+    config_ = std::move(config);
+  } else {
+    config_error_ = status.message();
+  }
 }
 
 MService::~MService() { shutdown(); }
 
 ControlResponse MService::control(const ControlRequest& request) {
   ControlResponse response;
-  // Parameter changes re-validate the whole configuration through the
-  // builder, so control() can never push the daemon somewhere the
-  // construction path would have refused.
+  // Parameter changes re-validate the whole configuration, so control()
+  // can never push the daemon somewhere the constructors would have
+  // refused.
   auto apply = [&](MembershipConfig candidate) {
     if (daemon_ != nullptr) {
       response.status =
           Status::Error("parameter changes must precede run()");
       return;
     }
-    MembershipConfigBuilder builder;
-    builder.replace(std::move(candidate));
-    MembershipConfig validated;
-    response.status = builder.Build(&validated);
-    if (response.status.ok()) config_ = std::move(validated);
+    response.status = validate(candidate);
+    if (response.status.ok()) config_ = std::move(candidate);
   };
 
   if (const auto* metrics = std::get_if<MetricsQuery>(&request)) {
-    if (metrics->version != kControlApiVersion) {
-      response.status = Status::Error(
-          "MetricsQuery version " + std::to_string(metrics->version) +
-          " not supported (this service speaks v" +
-          std::to_string(kControlApiVersion) + ")");
-      return response;
-    }
     if (metrics->name_filter.size() > 256) {
       response.status = Status::Error("name_filter exceeds 256 characters");
       return response;
@@ -83,90 +78,7 @@ ControlResponse MService::control(const ControlRequest& request) {
         });
     return response;
   }
-  if (const auto* anti = std::get_if<AntiEntropyQuery>(&request)) {
-    if (anti->version != kControlApiVersion) {
-      response.status = Status::Error(
-          "AntiEntropyQuery version " + std::to_string(anti->version) +
-          " not supported (this service speaks v" +
-          std::to_string(kControlApiVersion) + ")");
-      return response;
-    }
-    if (daemon_ == nullptr || !daemon_->running()) {
-      response.status = Status::Error("anti-entropy query requires run()");
-      return response;
-    }
-    const obs::MetricsRegistry& metrics = net_.obs().metrics;
-    auto counter = [&](std::string_view name) {
-      return metrics.counter_value(obs::Protocol::kHier, name, self_);
-    };
-    AntiEntropyStats& stats = response.anti_entropy;
-    stats.mode = config_.system.anti_entropy_mode;
-    stats.digests_sent = counter("digests_sent");
-    stats.digest_pulls_sent = counter("digest_pulls_sent");
-    stats.digest_pulls_served = counter("digest_pulls_served");
-    stats.deltas_sent = counter("deltas_sent");
-    stats.delta_rows_shipped = counter("delta_rows_shipped");
-    stats.digest_rows_suppressed = counter("digest_rows_suppressed");
-    stats.digest_full_fallbacks = counter("digest_full_fallbacks");
-    return response;
-  }
-  // Shared reader for the two application-traffic queries: both start from
-  // the node's workload counters.
-  auto read_workload = [&](int version, const char* what) -> bool {
-    if (version != kControlApiVersion) {
-      response.status = Status::Error(
-          std::string(what) + " version " + std::to_string(version) +
-          " not supported (this service speaks v" +
-          std::to_string(kControlApiVersion) + ")");
-      return false;
-    }
-    if (daemon_ == nullptr || !daemon_->running()) {
-      response.status =
-          Status::Error(std::string(what) + " requires run()");
-      return false;
-    }
-    const obs::MetricsRegistry& metrics = net_.obs().metrics;
-    auto counter = [&](std::string_view name) {
-      return metrics.counter_value(obs::Protocol::kWorkload, name, self_);
-    };
-    WorkloadStats& stats = response.workload;
-    stats.requests_issued = counter("requests_issued");
-    stats.requests_ok = counter("requests_ok");
-    stats.requests_failed = counter("requests_failed");
-    stats.request_attempts = counter("request_attempts");
-    stats.misroutes = counter("misroutes");
-    stats.proxy_fallbacks = counter("proxy_fallbacks");
-    return true;
-  };
-  if (const auto* wl = std::get_if<WorkloadQuery>(&request)) {
-    read_workload(wl->version, "WorkloadQuery");
-    return response;
-  }
-  if (const auto* slo = std::get_if<SloQuery>(&request)) {
-    if (!read_workload(slo->version, "SloQuery")) return response;
-    const obs::Histogram* hist = net_.obs().metrics.find_histogram(
-        obs::Protocol::kWorkload, "latency_ns", self_);
-    if (hist != nullptr && hist->tail.count() > 0) {
-      // Percentile queries sort lazily; work on a copy so the registry
-      // cell stays untouched.
-      util::Percentiles tail = hist->tail;
-      SloStats& stats = response.slo;
-      stats.latency_samples = tail.count();
-      stats.p50_ns = static_cast<int64_t>(tail.median());
-      stats.p99_ns = static_cast<int64_t>(tail.p99());
-      stats.p999_ns = static_cast<int64_t>(tail.p999());
-      stats.max_ns = static_cast<int64_t>(tail.max());
-    }
-    return response;
-  }
   if (const auto* trace = std::get_if<TraceControl>(&request)) {
-    if (trace->version != kControlApiVersion) {
-      response.status = Status::Error(
-          "TraceControl version " + std::to_string(trace->version) +
-          " not supported (this service speaks v" +
-          std::to_string(kControlApiVersion) + ")");
-      return response;
-    }
     if (trace->capacity < 1 || trace->capacity > kMaxTraceCapacity) {
       response.status =
           Status::Error("trace capacity must be in [1, " +
@@ -271,7 +183,10 @@ void MService::shutdown() {
 int MService::register_service(const std::string& name,
                                const std::string& partition_spec) {
   if (daemon_ == nullptr) return -1;
+  // nullopt means "*" or empty (partition 0); an empty vector, a spec that
+  // failed to parse.
   auto partitions = util::expand_partition_spec(partition_spec);
+  if (partitions && partitions->empty()) return -1;
   daemon_->register_service(name, partitions.value_or(std::vector<int>{0}));
   return 0;
 }

@@ -1,9 +1,9 @@
 // Status — the error-reporting currency of the public API surface.
 //
-// Construction paths that used to assert or silently fall back (config
-// parsing, builder validation, control requests) return a Status instead,
-// so library callers can distinguish "applied" from "rejected, and why"
-// without a crash or a side-channel string.
+// Paths that used to assert or silently fall back (config validation,
+// control requests) return a Status instead, so library callers can
+// distinguish "applied" from "rejected, and why" without a crash or a
+// side-channel string.
 #pragma once
 
 #include <string>

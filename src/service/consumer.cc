@@ -7,87 +7,33 @@
 
 namespace tamp::service {
 
-ConsumerConfigBuilder& ConsumerConfigBuilder::replace(ConsumerConfig config) {
-  config_ = config;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::reply_port(net::Port port) {
-  config_.reply_port = port;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::provider_port(net::Port port) {
-  config_.provider_port = port;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::relay_port(net::Port port) {
-  config_.relay_port = port;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::poll_candidates(int candidates) {
-  config_.poll_candidates = candidates;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::poll_timeout(
-    sim::Duration timeout) {
-  config_.poll_timeout = timeout;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::request_timeout(
-    sim::Duration timeout) {
-  config_.request_timeout = timeout;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::relay_timeout(
-    sim::Duration timeout) {
-  config_.relay_timeout = timeout;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::max_attempts(int attempts) {
-  config_.max_attempts = attempts;
-  return *this;
-}
-
-ConsumerConfigBuilder& ConsumerConfigBuilder::proxy_fallback(bool enabled) {
-  config_.proxy_fallback = enabled;
-  return *this;
-}
-
-api::Status ConsumerConfigBuilder::Build(ConsumerConfig* out) const {
-  if (config_.poll_candidates < 1 || config_.poll_candidates > 16) {
+api::Status validate(const ConsumerConfig& config) {
+  if (config.poll_candidates < 1 || config.poll_candidates > 16) {
     return api::Status::Error("poll_candidates must be in [1, 16], got " +
-                              std::to_string(config_.poll_candidates));
+                              std::to_string(config.poll_candidates));
   }
-  if (config_.max_attempts < 1 || config_.max_attempts > 16) {
+  if (config.max_attempts < 1 || config.max_attempts > 16) {
     return api::Status::Error("max_attempts must be in [1, 16], got " +
-                              std::to_string(config_.max_attempts));
+                              std::to_string(config.max_attempts));
   }
-  if (config_.poll_timeout <= 0) {
+  if (config.poll_timeout <= 0) {
     return api::Status::Error("poll_timeout must be positive");
   }
-  if (config_.request_timeout <= 0) {
+  if (config.request_timeout <= 0) {
     return api::Status::Error("request_timeout must be positive");
   }
-  if (config_.relay_timeout <= 0) {
+  if (config.relay_timeout <= 0) {
     return api::Status::Error("relay_timeout must be positive");
   }
-  if (config_.reply_port == config_.provider_port) {
+  if (config.reply_port == config.provider_port) {
     return api::Status::Error(
         "reply_port must differ from provider_port (both " +
-        std::to_string(config_.reply_port) + ")");
+        std::to_string(config.reply_port) + ")");
   }
-  if (config_.reply_port == config_.relay_port) {
+  if (config.reply_port == config.relay_port) {
     return api::Status::Error("reply_port must differ from relay_port (both " +
-                              std::to_string(config_.reply_port) + ")");
+                              std::to_string(config.reply_port) + ")");
   }
-  *out = config_;
   return api::Status::Ok();
 }
 

@@ -36,36 +36,10 @@ struct ConsumerConfig {
   bool proxy_fallback = true;
 };
 
-// Validated construction for ConsumerConfig, same idiom as
-// MembershipConfigBuilder: fluent setters, `Build()` returns a Status and
-// leaves `out` untouched on rejection. Bare aggregate construction still
-// compiles (the struct stays public) but call sites should come through
-// here so bad timeouts/ports are caught at setup, not as silent hangs.
-class ConsumerConfigBuilder {
- public:
-  ConsumerConfigBuilder() = default;
-
-  // Seed from an already-assembled configuration (e.g. re-validating after
-  // a programmatic tweak).
-  ConsumerConfigBuilder& replace(ConsumerConfig config);
-
-  ConsumerConfigBuilder& reply_port(net::Port port);
-  ConsumerConfigBuilder& provider_port(net::Port port);
-  ConsumerConfigBuilder& relay_port(net::Port port);
-  ConsumerConfigBuilder& poll_candidates(int candidates);
-  ConsumerConfigBuilder& poll_timeout(sim::Duration timeout);
-  ConsumerConfigBuilder& request_timeout(sim::Duration timeout);
-  ConsumerConfigBuilder& relay_timeout(sim::Duration timeout);
-  ConsumerConfigBuilder& max_attempts(int attempts);
-  ConsumerConfigBuilder& proxy_fallback(bool enabled);
-
-  // Validates ranges and port distinctness; writes to `out` on success.
-  // `out` is untouched on error.
-  api::Status Build(ConsumerConfig* out) const;
-
- private:
-  ConsumerConfig config_;
-};
+// Checks ranges and port distinctness. Callers that assemble a
+// ConsumerConfig run it at setup, so bad timeouts or ports fail there
+// rather than as silent hangs.
+api::Status validate(const ConsumerConfig& config);
 
 // Why an invocation ended the way it did. Replaces the lossy
 // `ok` + ResponseStatus pair: a false `ok` used to collapse "the directory

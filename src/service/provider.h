@@ -28,8 +28,9 @@ struct ProviderConfig {
 
 class ServiceProvider {
  public:
-  // `membership` is the node's membership daemon (used for registration and
-  // identity). Not owned.
+  // `membership` is the node's membership daemon (used for registration).
+  // Not owned. The host id is copied at construction: a restarted node's
+  // daemon is destroyed before its old provider is torn down.
   ServiceProvider(sim::Simulation& sim, net::Network& net,
                   protocols::MembershipDaemon& membership,
                   ProviderConfig config = {});
@@ -46,7 +47,7 @@ class ServiceProvider {
   void stop();
   bool running() const { return running_; }
 
-  net::HostId self() const { return membership_.self(); }
+  net::HostId self() const { return self_; }
   uint32_t current_load() const {
     return static_cast<uint32_t>(active_ + queue_.size());
   }
@@ -62,6 +63,7 @@ class ServiceProvider {
   sim::Simulation& sim_;
   net::Network& net_;
   protocols::MembershipDaemon& membership_;
+  net::HostId self_;
   ProviderConfig config_;
   std::map<std::string, std::vector<int>> hosted_;
   // In-service completion events capture a weak ref to this token; stop()

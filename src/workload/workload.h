@@ -45,7 +45,7 @@ struct WorkloadConfig {
   sim::Duration provider_service_time = 2 * sim::kMillisecond;
   int provider_concurrency = 4;
   size_t provider_max_queue = 256;
-  service::ConsumerConfig consumer;  // build via ConsumerConfigBuilder
+  service::ConsumerConfig consumer;  // see service::validate()
 };
 
 // Scenario phases, classified by request start time.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 #include "api/mclient.h"
 #include "api/mservice.h"
 #include "net/builders.h"
@@ -177,6 +180,23 @@ TEST_F(ApiFixture, RegisterServiceAtRuntime) {
   EXPECT_EQ(client.lookup_service("Retriever", "2", &machines), 1);
 }
 
+TEST_F(ApiFixture, RegisterServiceRejectsMalformedPartitionSpec) {
+  build(1, 3);
+  sim.run_until(8 * sim::kSecond);
+  EXPECT_EQ(services[1]->register_service("Bad", "4-2"), -1);
+  EXPECT_EQ(services[1]->register_service("Bad", "x"), -1);
+  sim.run_until(sim.now() + 5 * sim::kSecond);
+
+  // Nothing was registered: neither the wildcard nor the default
+  // partition finds the service.
+  MClient client(store, layout.hosts[0], 999);
+  EXPECT_EQ(client.lookup_service("Bad", "*", nullptr), 0);
+  EXPECT_EQ(client.lookup_service("Bad", "0", nullptr), 0);
+  for (const auto& registration : services[1]->daemon().own_entry().services) {
+    EXPECT_NE(registration.name, "Bad");
+  }
+}
+
 TEST_F(ApiFixture, ShutdownWithdrawsSegment) {
   build(1, 3);
   sim.run_until(8 * sim::kSecond);
@@ -195,7 +215,6 @@ TEST_F(ApiFixture, ControlAdjustsDaemonParameters) {
   EXPECT_TRUE(service.control(SetMaxLossRequest{3}).status.ok());
   ControlResponse ttl_response = service.control(SetMaxTtlRequest{2});
   EXPECT_TRUE(ttl_response.status.ok());
-  EXPECT_EQ(ttl_response.version, kControlApiVersion);
   ASSERT_EQ(service.run(), 0);
   EXPECT_EQ(service.daemon().config().period, sim::kSecond / 2);
   EXPECT_EQ(service.daemon().config().max_losses, 3);
@@ -233,7 +252,6 @@ TEST_F(ApiFixture, LeadershipQueryReportsEpochsAndIncarnation) {
   for (auto& service : services) {
     ControlResponse response = service->control(LeadershipQuery{});
     ASSERT_TRUE(response.status.ok()) << response.status.message();
-    EXPECT_EQ(response.version, kControlApiVersion);
     EXPECT_GE(response.incarnation, 1u);
     ASSERT_EQ(response.leadership.size(), 4u);
     const LeadershipInfo& level0 = response.leadership[0];
@@ -249,130 +267,125 @@ TEST_F(ApiFixture, LeadershipQueryReportsEpochsAndIncarnation) {
   EXPECT_TRUE(leader_seen);
 }
 
-TEST(ConfigBuilder, FluentBuildValidates) {
+// Applies each edit to a default Config and expects validate() to reject
+// the result.
+template <typename Config>
+void expect_each_rejected(
+    const std::vector<std::function<void(Config&)>>& edits) {
+  for (size_t i = 0; i < edits.size(); ++i) {
+    Config config;
+    edits[i](config);
+    EXPECT_FALSE(validate(config).ok()) << "edit #" << i;
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ConfigValidate, AcceptsAssembledConfig) {
   MembershipConfig config;
-  Status status = MembershipConfigBuilder()
-                      .mcast_addr("239.255.0.7")
-                      .mcast_freq(2.0)
-                      .max_ttl(3)
-                      .max_loss(4)
-                      .add_service("HTTP", "0", {{"Port", "8080"}})
-                      .Build(&config);
+  config.system.mcast_addr = "239.255.0.7";
+  config.system.mcast_freq = 2.0;
+  config.system.max_ttl = 3;
+  config.system.max_loss = 4;
+  config.services.push_back({"HTTP", "0", {{"Port", "8080"}}});
+  Status status = validate(config);
   ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.mcast_addr, "239.255.0.7");
-  EXPECT_DOUBLE_EQ(config.system.mcast_freq, 2.0);
-  EXPECT_EQ(config.system.max_ttl, 3);
-  ASSERT_EQ(config.services.size(), 1u);
-  EXPECT_EQ(config.services[0].params.at("Port"), "8080");
+  EXPECT_TRUE(validate(MembershipConfig{}).ok());
 }
 
-TEST(ConfigBuilder, RejectsOutOfRangeValues) {
-  MembershipConfig config;
-  config.system.max_ttl = 99;  // sentinel: must stay untouched on error
-  EXPECT_FALSE(MembershipConfigBuilder().max_ttl(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().max_ttl(251).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().mcast_freq(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().max_loss(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().mcast_port(65535).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder().mcast_addr("").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().add_service("S", "4-2").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().add_service("").Build(&config).ok());
-  EXPECT_EQ(config.system.max_ttl, 99);
+TEST(ConfigValidate, RejectsOutOfRangeValues) {
+  using C = MembershipConfig;
+  expect_each_rejected<C>({
+      [](C& c) { c.system.max_ttl = 0; },
+      [](C& c) { c.system.max_ttl = 251; },
+      [](C& c) { c.system.mcast_freq = 0; },
+      [](C& c) { c.system.mcast_freq = kNaN; },
+      [](C& c) { c.system.mcast_freq = kInf; },
+      [](C& c) { c.system.mcast_freq = 2e9; },
+      [](C& c) { c.system.max_loss = 0; },
+      [](C& c) { c.system.mcast_port = 65535; },
+      [](C& c) { c.system.mcast_port = 0; },
+      [](C& c) { c.system.mcast_addr = ""; },
+      [](C& c) { c.services.push_back({"S", "4-2", {}}); },
+      [](C& c) { c.services.push_back({"", "0", {}}); },
+  });
 }
 
-TEST(ConfigBuilder, AntiEntropyKnobsValidateAndFlowThrough) {
+TEST(ConfigValidate, AntiEntropyKnobsValidateAndFlowThrough) {
   MembershipConfig config;
-  Status status = MembershipConfigBuilder()
-                      .anti_entropy_mode("digest")
-                      .digest_interval(15.0)
-                      .digest_max_rows_per_delta(128)
-                      .Build(&config);
+  config.system.anti_entropy_mode = "digest";
+  config.system.digest_interval = 15.0;
+  config.system.digest_max_rows_per_delta = 128;
+  Status status = validate(config);
   ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.anti_entropy_mode, "digest");
-  EXPECT_DOUBLE_EQ(config.system.digest_interval, 15.0);
-  EXPECT_EQ(config.system.digest_max_rows_per_delta, 128);
 
-  // Defaults keep the pre-v4 behavior: full-view refresh.
-  MembershipConfig defaults;
-  ASSERT_TRUE(MembershipConfigBuilder().Build(&defaults).ok());
-  EXPECT_EQ(defaults.system.anti_entropy_mode, "full");
+  // Defaults keep full-view refresh.
+  EXPECT_EQ(MembershipConfig{}.system.anti_entropy_mode, "full");
 
-  EXPECT_FALSE(
-      MembershipConfigBuilder().anti_entropy_mode("gossip").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().anti_entropy_mode("").Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().digest_interval(-1.0).Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().digest_interval(3601.0).Build(&config).ok());
-  EXPECT_FALSE(
-      MembershipConfigBuilder().digest_max_rows_per_delta(0).Build(&config).ok());
-  EXPECT_FALSE(MembershipConfigBuilder()
-                   .digest_max_rows_per_delta(65537)
-                   .Build(&config)
-                   .ok());
+  using C = MembershipConfig;
+  expect_each_rejected<C>({
+      [](C& c) { c.system.anti_entropy_mode = "gossip"; },
+      [](C& c) { c.system.anti_entropy_mode = ""; },
+      [](C& c) { c.system.digest_interval = -1.0; },
+      [](C& c) { c.system.digest_interval = 3601.0; },
+      [](C& c) { c.system.digest_interval = kNaN; },
+      [](C& c) { c.system.digest_max_rows_per_delta = 0; },
+      [](C& c) { c.system.digest_max_rows_per_delta = 65537; },
+  });
 }
 
-TEST(ConfigBuilder, AntiEntropyKeysParseFromFigureSevenText) {
-  MembershipConfig config;
-  Status status = MembershipConfigBuilder::FromText(
-                      "*SYSTEM\n"
-                      "ANTI_ENTROPY_MODE = Digest\n"  // case-folded
-                      "DIGEST_INTERVAL = 20\n"
-                      "DIGEST_MAX_ROWS_PER_DELTA = 32\n")
-                      .Build(&config);
+TEST(ConfigValidate, AntiEntropyKeysParseFromFigureSevenText) {
+  auto config = parse_config(
+      "*SYSTEM\n"
+      "ANTI_ENTROPY_MODE = Digest\n"  // case-folded
+      "DIGEST_INTERVAL = 20\n"
+      "DIGEST_MAX_ROWS_PER_DELTA = 32\n");
+  ASSERT_TRUE(config.has_value());
+  Status status = validate(*config);
   ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.anti_entropy_mode, "digest");
-  EXPECT_DOUBLE_EQ(config.system.digest_interval, 20.0);
-  EXPECT_EQ(config.system.digest_max_rows_per_delta, 32);
+  EXPECT_EQ(config->system.anti_entropy_mode, "digest");
+  EXPECT_DOUBLE_EQ(config->system.digest_interval, 20.0);
+  EXPECT_EQ(config->system.digest_max_rows_per_delta, 32);
 
-  // Vocabulary violations surface at Build(), like every other key.
-  EXPECT_FALSE(MembershipConfigBuilder::FromText(
-                   "*SYSTEM\nANTI_ENTROPY_MODE = sometimes\n")
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(MembershipConfigBuilder::FromText(
-                   "*SYSTEM\nDIGEST_INTERVAL = -3\n")
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(MembershipConfigBuilder::FromText(
-                   "*SYSTEM\nDIGEST_MAX_ROWS_PER_DELTA = 1.5\n")
-                   .Build(&config)
-                   .ok());
+  // The parser accepts any mode word; validate() enforces the vocabulary.
+  auto sometimes = parse_config("*SYSTEM\nANTI_ENTROPY_MODE = sometimes\n");
+  ASSERT_TRUE(sometimes.has_value());
+  EXPECT_FALSE(validate(*sometimes).ok());
+  // Malformed numbers fail in the parser already.
+  EXPECT_FALSE(parse_config("*SYSTEM\nDIGEST_INTERVAL = -3\n").has_value());
+  EXPECT_FALSE(
+      parse_config("*SYSTEM\nDIGEST_MAX_ROWS_PER_DELTA = 1.5\n").has_value());
+  // An integer outside int range is malformed, not wrapped.
+  EXPECT_FALSE(parse_config("*SYSTEM\nMAX_TTL = 4294967300\n").has_value());
 }
 
-TEST(ConfigBuilder, SeedsFromFigureSevenText) {
-  MembershipConfig config;
-  Status status = MembershipConfigBuilder::FromText(kPaperConfig)
-                      .mcast_freq(4.0)  // override on top of the file
-                      .Build(&config);
+TEST(ConfigValidate, SeedsFromFigureSevenText) {
+  std::string error;
+  auto config = parse_config(kPaperConfig, &error);
+  ASSERT_TRUE(config.has_value()) << error;
+  config->system.mcast_freq = 4.0;  // override on top of the file
+  Status status = validate(*config);
   ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.system.shm_key, 999);
-  EXPECT_DOUBLE_EQ(config.system.mcast_freq, 4.0);
-  ASSERT_EQ(config.services.size(), 2u);
+  EXPECT_EQ(config->system.shm_key, 999);
+  ASSERT_EQ(config->services.size(), 2u);
 
-  // A parse failure is remembered and surfaces in Build().
-  Status bad = MembershipConfigBuilder::FromText("*SYSTEM\nMAX_TTL = oops\n")
-                   .Build(&config);
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.message().find("line 2"), std::string::npos);
+  // A parse failure reports its line.
+  EXPECT_FALSE(parse_config("*SYSTEM\nMAX_TTL = oops\n", &error).has_value());
+  EXPECT_NE(error.find("line 2"), std::string::npos);
 }
 
-TEST(ConfigBuilder, ValidatedConfigConstructsServiceDirectly) {
+TEST(ConfigValidate, ValidatedConfigConstructsServiceDirectly) {
   sim::Simulation sim(7);
   net::Topology topo;
   auto layout = net::build_single_segment(topo, 2);
   net::Network net(sim, topo);
   DirectoryStore store;
 
-  MembershipConfig config;
-  ASSERT_TRUE(MembershipConfigBuilder::FromText(kPaperConfig)
-                  .shm_key(1234)
-                  .Build(&config)
-                  .ok());
-  MService service(sim, net, store, layout.hosts[0], std::move(config));
+  auto config = parse_config(kPaperConfig);
+  ASSERT_TRUE(config.has_value());
+  config->system.shm_key = 1234;
+  MService service(sim, net, store, layout.hosts[0], std::move(*config));
   EXPECT_TRUE(service.config_error().empty());
   EXPECT_EQ(service.shm_key(), 1234);
   EXPECT_EQ(service.run(), 0);
@@ -380,161 +393,83 @@ TEST(ConfigBuilder, ValidatedConfigConstructsServiceDirectly) {
   EXPECT_TRUE(client.attached());
 }
 
-// --- control API v5: application-traffic queries ---------------------------
+// --- ConsumerConfig validation ----------------------------------------------
 
-struct TrafficQueryFixture : public ::testing::Test {
-  sim::Simulation sim{91};
-  net::Topology topo;
-  net::ClusterLayout layout;
-  std::unique_ptr<net::Network> net;
-  DirectoryStore store;
-  std::unique_ptr<MService> service;
-
-  void SetUp() override {
-    layout = net::build_single_segment(topo, 2);
-    net = std::make_unique<net::Network>(sim, topo);
-    service = std::make_unique<MService>(sim, *net, store, layout.hosts[0],
-                                         kPaperConfig);
-  }
-
-  // Stand in for a workload driver having run on this node: the queries
-  // read the registry, so seeding it directly gives exact expectations.
-  void seed_workload_metrics() {
-    obs::MetricsRegistry& metrics = net->obs().metrics;
-    const net::HostId self = layout.hosts[0];
-    metrics.counter(obs::Protocol::kWorkload, "requests_issued", self)
-        ->add(120);
-    metrics.counter(obs::Protocol::kWorkload, "requests_ok", self)->add(110);
-    metrics.counter(obs::Protocol::kWorkload, "requests_failed", self)
-        ->add(10);
-    metrics.counter(obs::Protocol::kWorkload, "request_attempts", self)
-        ->add(140);
-    metrics.counter(obs::Protocol::kWorkload, "misroutes", self)->add(7);
-    metrics.counter(obs::Protocol::kWorkload, "proxy_fallbacks", self)
-        ->add(3);
-  }
-};
-
-TEST_F(TrafficQueryFixture, WorkloadQueryRoundTrip) {
-  ASSERT_EQ(service->run(), 0);
-  seed_workload_metrics();
-  // A neighbor's counters must not bleed into this node's answer.
-  net->obs()
-      .metrics.counter(obs::Protocol::kWorkload, "requests_issued",
-                       layout.hosts[1])
-      ->add(999);
-
-  ControlResponse response = service->control(WorkloadQuery{});
-  ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_EQ(response.version, kControlApiVersion);
-  EXPECT_EQ(response.workload.requests_issued, 120u);
-  EXPECT_EQ(response.workload.requests_ok, 110u);
-  EXPECT_EQ(response.workload.requests_failed, 10u);
-  EXPECT_EQ(response.workload.request_attempts, 140u);
-  EXPECT_EQ(response.workload.misroutes, 7u);
-  EXPECT_EQ(response.workload.proxy_fallbacks, 3u);
-}
-
-TEST_F(TrafficQueryFixture, SloQueryReportsLatencyDistribution) {
-  ASSERT_EQ(service->run(), 0);
-  seed_workload_metrics();
-  obs::Histogram* latency = net->obs().metrics.histogram(
-      obs::Protocol::kWorkload, "latency_ns", layout.hosts[0]);
-  for (int ms = 1; ms <= 100; ++ms) latency->observe(ms * 1e6);
-
-  ControlResponse response = service->control(SloQuery{});
-  ASSERT_TRUE(response.status.ok()) << response.status.message();
-  // SloQuery answers the WorkloadQuery fields too.
-  EXPECT_EQ(response.workload.requests_issued, 120u);
-  EXPECT_EQ(response.slo.latency_samples, 100u);
-  EXPECT_GT(response.slo.p50_ns, 40 * 1000000ll);
-  EXPECT_LT(response.slo.p50_ns, 60 * 1000000ll);
-  EXPECT_LE(response.slo.p50_ns, response.slo.p99_ns);
-  EXPECT_LE(response.slo.p99_ns, response.slo.p999_ns);
-  EXPECT_EQ(response.slo.max_ns, 100 * 1000000ll);
-}
-
-TEST_F(TrafficQueryFixture, SloQueryWithoutSamplesReportsEmptySentinels) {
-  ASSERT_EQ(service->run(), 0);
-  ControlResponse response = service->control(SloQuery{});
-  ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_EQ(response.slo.latency_samples, 0u);
-  EXPECT_EQ(response.slo.p50_ns, -1);
-  EXPECT_EQ(response.slo.p999_ns, -1);
-}
-
-TEST_F(TrafficQueryFixture, TrafficQueriesGateOnVersionAndRun) {
-  // Before run(): both queries are rejected.
-  EXPECT_FALSE(service->control(WorkloadQuery{}).status.ok());
-  EXPECT_FALSE(service->control(SloQuery{}).status.ok());
-  ASSERT_EQ(service->run(), 0);
-
-  // A pre-v5 client's stamp is rejected, never silently misread.
-  WorkloadQuery stale_workload;
-  stale_workload.version = 4;
-  ControlResponse rejected = service->control(stale_workload);
-  EXPECT_FALSE(rejected.status.ok());
-  EXPECT_NE(rejected.status.message().find("version"), std::string::npos);
-  SloQuery stale_slo;
-  stale_slo.version = 4;
-  EXPECT_FALSE(service->control(stale_slo).status.ok());
-
-  EXPECT_TRUE(service->control(WorkloadQuery{}).status.ok());
-}
-
-// --- ConsumerConfigBuilder -------------------------------------------------
-
-TEST(ConsumerConfigBuilder, FluentBuildValidates) {
+TEST(ConsumerConfigValidate, AcceptsAssembledConfig) {
   service::ConsumerConfig config;
-  Status status = service::ConsumerConfigBuilder()
-                      .poll_candidates(3)
-                      .poll_timeout(50 * sim::kMillisecond)
-                      .request_timeout(sim::kSecond)
-                      .max_attempts(5)
-                      .proxy_fallback(false)
-                      .Build(&config);
+  config.poll_candidates = 3;
+  config.poll_timeout = 50 * sim::kMillisecond;
+  config.request_timeout = sim::kSecond;
+  config.max_attempts = 5;
+  config.proxy_fallback = false;
+  Status status = service::validate(config);
   ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config.poll_candidates, 3);
-  EXPECT_EQ(config.poll_timeout, 50 * sim::kMillisecond);
-  EXPECT_EQ(config.request_timeout, sim::kSecond);
-  EXPECT_EQ(config.max_attempts, 5);
-  EXPECT_FALSE(config.proxy_fallback);
+  EXPECT_TRUE(service::validate(service::ConsumerConfig{}).ok());
 }
 
-TEST(ConsumerConfigBuilder, RejectsOutOfRangeValues) {
-  service::ConsumerConfig config;
-  config.max_attempts = 99;  // sentinel: must stay untouched on error
-  using service::ConsumerConfigBuilder;
-  EXPECT_FALSE(ConsumerConfigBuilder().poll_candidates(0).Build(&config).ok());
-  EXPECT_FALSE(
-      ConsumerConfigBuilder().poll_candidates(17).Build(&config).ok());
-  EXPECT_FALSE(ConsumerConfigBuilder().max_attempts(0).Build(&config).ok());
-  EXPECT_FALSE(ConsumerConfigBuilder().poll_timeout(0).Build(&config).ok());
-  EXPECT_FALSE(
-      ConsumerConfigBuilder().request_timeout(-1).Build(&config).ok());
-  EXPECT_FALSE(ConsumerConfigBuilder().relay_timeout(0).Build(&config).ok());
-  // Port collisions would make the consumer answer itself.
-  EXPECT_FALSE(ConsumerConfigBuilder()
-                   .reply_port(protocols::kServicePort)
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(ConsumerConfigBuilder()
-                   .reply_port(service::kProxyRelayPort)
-                   .Build(&config)
-                   .ok());
-  EXPECT_EQ(config.max_attempts, 99);
+TEST(ConsumerConfigValidate, RejectsOutOfRangeValues) {
+  using C = service::ConsumerConfig;
+  expect_each_rejected<C>({
+      [](C& c) { c.poll_candidates = 0; },
+      [](C& c) { c.poll_candidates = 17; },
+      [](C& c) { c.max_attempts = 0; },
+      [](C& c) { c.poll_timeout = 0; },
+      [](C& c) { c.request_timeout = -1; },
+      [](C& c) { c.relay_timeout = 0; },
+      // Port collisions would make the consumer answer itself.
+      [](C& c) { c.reply_port = protocols::kServicePort; },
+      [](C& c) { c.reply_port = service::kProxyRelayPort; },
+  });
 }
 
+// Every rejected configuration, from text or from a struct, leaves the
+// defaults in place, reports why, and still runs a daemon.
 TEST(ApiStandalone, MalformedConfigFallsBackToDefaults) {
+  auto expect_defaults_and_run = [](MService& service, const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_FALSE(service.config_error().empty());
+    const SystemConfig defaults;
+    EXPECT_EQ(service.config().system.max_ttl, defaults.max_ttl);
+    EXPECT_EQ(service.config().system.mcast_port, defaults.mcast_port);
+    EXPECT_EQ(service.config().system.max_loss, defaults.max_loss);
+    EXPECT_EQ(service.config().system.anti_entropy_mode,
+              defaults.anti_entropy_mode);
+    EXPECT_TRUE(service.config().services.empty());
+    EXPECT_EQ(service.run(), 0);
+    EXPECT_EQ(service.daemon().config().max_ttl, defaults.max_ttl);
+    EXPECT_EQ(service.daemon().config().control_port, defaults.mcast_port + 1);
+  };
+
+  const char* bad_files[] = {
+      "*SYSTEM\nMAX_TTL=oops",
+      "*SYSTEM\nMAX_TTL = 0\n",
+      "*SYSTEM\nMCAST_PORT = 65535\n",
+      "*SYSTEM\nMAX_LOSS = 0\n",
+      "*SYSTEM\nANTI_ENTROPY_MODE = bogus\n",
+      "*SERVICE\n[HTTP]\nPARTITION = 4-2\n",
+  };
+  for (const char* text : bad_files) {
+    sim::Simulation sim(1);
+    net::Topology topo;
+    auto layout = net::build_single_segment(topo, 2);
+    net::Network net(sim, topo);
+    DirectoryStore store;
+    MService service(sim, net, store, layout.hosts[0], text);
+    expect_defaults_and_run(service, text);
+    sim.run_until(3 * sim::kSecond);
+  }
+
   sim::Simulation sim(1);
   net::Topology topo;
   auto layout = net::build_single_segment(topo, 2);
   net::Network net(sim, topo);
   DirectoryStore store;
-  MService service(sim, net, store, layout.hosts[0], "*SYSTEM\nMAX_TTL=oops");
-  EXPECT_FALSE(service.config_error().empty());
-  EXPECT_EQ(service.config().system.max_ttl, 4);  // default kept
-  EXPECT_EQ(service.run(), 0);
+  MembershipConfig invalid;
+  invalid.system.max_ttl = 0;
+  invalid.services.push_back({"HTTP", "0", {}});
+  MService service(sim, net, store, layout.hosts[0], invalid);
+  expect_defaults_and_run(service, "MembershipConfig with MAX_TTL 0");
+  sim.run_until(3 * sim::kSecond);
 }
 
 }  // namespace

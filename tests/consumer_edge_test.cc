@@ -59,8 +59,8 @@ TEST_F(ConsumerEdgeFixture, CallbackFiresExactlyOnceOnSuccess) {
 TEST_F(ConsumerEdgeFixture, CallbackFiresExactlyOnceOnFailure) {
   build(3);
   ConsumerConfig config;
-  ASSERT_TRUE(
-      ConsumerConfigBuilder().proxy_fallback(false).Build(&config).ok());
+  config.proxy_fallback = false;
+  ASSERT_TRUE(validate(config).ok());
   ServiceConsumer consumer(sim, *net, cluster->daemon(0), config);
   consumer.start();
   sim.run_until(8 * sim::kSecond);
@@ -119,11 +119,9 @@ TEST_F(ConsumerEdgeFixture, ExhaustedAttemptsReportUnavailable) {
   add_provider(2, "doomed", 0);
   add_provider(3, "doomed", 0);
   ConsumerConfig config;
-  ASSERT_TRUE(ConsumerConfigBuilder()
-                  .proxy_fallback(false)
-                  .max_attempts(2)
-                  .Build(&config)
-                  .ok());
+  config.proxy_fallback = false;
+  config.max_attempts = 2;
+  ASSERT_TRUE(validate(config).ok());
   ServiceConsumer consumer(sim, *net, cluster->daemon(0), config);
   consumer.start();
   sim.run_until(8 * sim::kSecond);

@@ -1,8 +1,8 @@
 // Observability layer tests: the metrics registry and tracer in isolation,
 // trace determinism through the chaos scenario runner (same seed =>
 // byte-identical JSONL), the conservation identities the runner grades, and
-// the v4 control-surface round-trip (MetricsQuery / TraceControl /
-// AntiEntropyQuery) including the version-mismatch rejection path.
+// the control-surface round-trip (MetricsQuery / TraceControl) including
+// the bounds checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -203,7 +203,7 @@ TEST(MetricsConservation, HoldsAcrossSchemesUnderChaos) {
   }
 }
 
-// --- control surface (v4) --------------------------------------------------
+// --- control surface --------------------------------------------------------
 
 class ControlObsFixture : public ::testing::Test {
  protected:
@@ -228,7 +228,6 @@ TEST_F(ControlObsFixture, MetricsQueryRoundTrip) {
 
   api::ControlResponse response = service->control(api::MetricsQuery{});
   ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_EQ(response.version, api::kControlApiVersion);
   ASSERT_FALSE(response.metrics.empty());
   // Sorted by name, and consistent with the registry's own cells.
   for (size_t i = 1; i < response.metrics.size(); ++i) {
@@ -261,22 +260,6 @@ TEST_F(ControlObsFixture, MetricsQueryRoundTrip) {
   EXPECT_EQ(service->control(capped).metrics.size(), 1u);
 }
 
-TEST_F(ControlObsFixture, V2StampedRequestsAreRejected) {
-  ASSERT_EQ(service->run(), 0);
-  api::MetricsQuery stale_query;
-  stale_query.version = 2;
-  api::ControlResponse response = service->control(stale_query);
-  EXPECT_FALSE(response.status.ok());
-  EXPECT_NE(response.status.message().find("not supported"),
-            std::string::npos);
-  EXPECT_TRUE(response.metrics.empty());
-
-  api::TraceControl stale_trace;
-  stale_trace.version = 2;
-  EXPECT_FALSE(service->control(stale_trace).status.ok());
-  EXPECT_FALSE(net->obs().tracer.enabled());  // rejected => not applied
-}
-
 TEST_F(ControlObsFixture, MalformedObservabilityRequestsAreRejected) {
   ASSERT_EQ(service->run(), 0);
   api::MetricsQuery oversized;
@@ -304,55 +287,50 @@ TEST_F(ControlObsFixture, MetricsQueryRequiresRunningDaemon) {
   EXPECT_FALSE(service->control(api::MetricsQuery{}).status.ok());
 }
 
-TEST_F(ControlObsFixture, AntiEntropyQueryReportsModeAndCounters) {
+// The anti-entropy mode is the configuration's; its digest-round numbers
+// are hierarchical counters, which MetricsQuery reads.
+TEST_F(ControlObsFixture, FullModeSendsNoDigests) {
   ASSERT_EQ(service->run(), 0);
   sim.run_until(70 * sim::kSecond);  // past at least one refresh interval
 
-  api::ControlResponse response = service->control(api::AntiEntropyQuery{});
+  EXPECT_EQ(service->config().system.anti_entropy_mode, "full");
+  EXPECT_EQ(service->daemon().config().anti_entropy_mode,
+            protocols::AntiEntropyMode::kFull);
+  api::MetricsQuery digests;
+  digests.name_filter = "digests_sent";
+  api::ControlResponse response = service->control(digests);
   ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_EQ(response.version, api::kControlApiVersion);
-  EXPECT_EQ(response.anti_entropy.mode, "full");
-  // Full mode never emits digest traffic.
-  EXPECT_EQ(response.anti_entropy.digests_sent, 0u);
-  EXPECT_EQ(response.anti_entropy.deltas_sent, 0u);
+  for (const api::MetricValue& metric : response.metrics) {
+    EXPECT_EQ(metric.value, 0u) << metric.name;
+  }
+  EXPECT_EQ(net->obs().metrics.counter_value(obs::Protocol::kHier,
+                                             "deltas_sent", layout.hosts[0]),
+            0u);
 }
 
-TEST_F(ControlObsFixture, AntiEntropyQueryReflectsDigestMode) {
+TEST_F(ControlObsFixture, DigestModeReportsDigestRounds) {
   api::MembershipConfig config;
-  ASSERT_TRUE(api::MembershipConfigBuilder()
-                  .anti_entropy_mode("digest")
-                  .Build(&config)
-                  .ok());
+  config.system.anti_entropy_mode = "digest";
   api::DirectoryStore digest_store;
   api::MService digest_service(sim, *net, digest_store, layout.hosts[1],
                                config);
+  ASSERT_TRUE(digest_service.config_error().empty());
   ASSERT_EQ(digest_service.run(), 0);
   sim.run_until(sim.now() + 70 * sim::kSecond);
 
-  api::ControlResponse response =
-      digest_service.control(api::AntiEntropyQuery{});
+  EXPECT_EQ(digest_service.daemon().config().anti_entropy_mode,
+            protocols::AntiEntropyMode::kDigest);
+  api::MetricsQuery digests;
+  digests.name_filter = "digests_sent";
+  api::ControlResponse response = digest_service.control(digests);
   ASSERT_TRUE(response.status.ok()) << response.status.message();
-  EXPECT_EQ(response.anti_entropy.mode, "digest");
-  // The lone leader on its channel has sent at least one digest round, and
-  // the registry's per-node counters back every stat the response carries.
-  EXPECT_GT(response.anti_entropy.digests_sent, 0u);
-  EXPECT_EQ(response.anti_entropy.digests_sent,
+  ASSERT_EQ(response.metrics.size(), 1u);
+  EXPECT_EQ(response.metrics[0].name, "digests_sent");
+  // The lone leader on its channel has sent at least one digest round.
+  EXPECT_GT(response.metrics[0].value, 0u);
+  EXPECT_EQ(response.metrics[0].value,
             net->obs().metrics.counter_value(
                 obs::Protocol::kHier, "digests_sent", layout.hosts[1]));
-}
-
-TEST_F(ControlObsFixture, AntiEntropyQueryVersionAndRunGates) {
-  // Before run(): rejected like every daemon-backed query.
-  EXPECT_FALSE(service->control(api::AntiEntropyQuery{}).status.ok());
-
-  ASSERT_EQ(service->run(), 0);
-  api::AntiEntropyQuery stale;
-  stale.version = 3;
-  api::ControlResponse response = service->control(stale);
-  EXPECT_FALSE(response.status.ok());
-  EXPECT_NE(response.status.message().find("not supported"),
-            std::string::npos);
-  EXPECT_TRUE(response.anti_entropy.mode.empty());  // rejected => not filled
 }
 
 TEST_F(ControlObsFixture, TraceControlDrivesTheNetworkTracer) {
@@ -378,25 +356,23 @@ TEST_F(ControlObsFixture, TraceControlDrivesTheNetworkTracer) {
 }
 
 TEST(ObsConfig, BuilderValidatesObservabilityFields) {
-  api::MembershipConfig config;
+  auto system_valid = [](void (*edit)(api::SystemConfig&)) {
+    api::MembershipConfig config;
+    edit(config.system);
+    return api::validate(config).ok();
+  };
   EXPECT_FALSE(
-      api::MembershipConfigBuilder().trace_capacity(0).Build(&config).ok());
-  EXPECT_FALSE(api::MembershipConfigBuilder()
-                   .trace_capacity(api::kMaxTraceCapacity + 1)
-                   .Build(&config)
-                   .ok());
-  EXPECT_FALSE(api::MembershipConfigBuilder()
-                   .trace_kinds_mask(~uint64_t{0})
-                   .Build(&config)
-                   .ok());
-  EXPECT_TRUE(api::MembershipConfigBuilder()
-                  .metrics_enabled(false)
-                  .trace_capacity(4096)
-                  .trace_kinds_mask(obs::trace_bit(obs::TraceKind::kFault))
-                  .Build(&config)
-                  .ok());
-  EXPECT_FALSE(config.system.metrics_enabled);
-  EXPECT_EQ(config.system.trace_capacity, 4096u);
+      system_valid([](api::SystemConfig& s) { s.trace_capacity = 0; }));
+  EXPECT_FALSE(system_valid([](api::SystemConfig& s) {
+    s.trace_capacity = api::kMaxTraceCapacity + 1;
+  }));
+  EXPECT_FALSE(
+      system_valid([](api::SystemConfig& s) { s.trace_kinds_mask = ~0ull; }));
+  EXPECT_TRUE(system_valid([](api::SystemConfig& s) {
+    s.metrics_enabled = false;
+    s.trace_capacity = 4096;
+    s.trace_kinds_mask = obs::trace_bit(obs::TraceKind::kFault);
+  }));
 }
 
 TEST(ObsConfig, RunAppliesObservabilityConfigToTheNetwork) {
@@ -407,13 +383,11 @@ TEST(ObsConfig, RunAppliesObservabilityConfigToTheNetwork) {
   api::DirectoryStore store;
 
   api::MembershipConfig config;
-  api::MembershipConfigBuilder builder;
-  ASSERT_TRUE(builder.metrics_enabled(false)
-                  .trace_capacity(2048)
-                  .trace_kinds_mask(obs::trace_bit(obs::TraceKind::kGroupJoin))
-                  .Build(&config)
-                  .ok());
+  config.system.metrics_enabled = false;
+  config.system.trace_capacity = 2048;
+  config.system.trace_kinds_mask = obs::trace_bit(obs::TraceKind::kGroupJoin);
   api::MService service(sim, net, store, layout.hosts[0], std::move(config));
+  ASSERT_TRUE(service.config_error().empty()) << service.config_error();
   ASSERT_EQ(service.run(), 0);
   EXPECT_FALSE(net.obs().metrics.enabled());
   EXPECT_EQ(net.obs().tracer.capacity(), 2048u);

@@ -79,6 +79,45 @@ TEST_F(SearchFixture, SurvivesSingleDocReplicaFailure) {
   EXPECT_GT(workload.total_completed(), 200u);
 }
 
+// Cluster::restart destroys the node's old daemon before the deployment
+// tears down the old provider, so the provider must not reach back into
+// that daemon while it stops.
+TEST_F(SearchFixture, RestartedDocNodeServesAgain) {
+  build(24);
+  const size_t victim = deployment->doc_nodes()[0];
+  cluster->kill(victim);
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+  cluster->restart(victim);
+  deployment->restart_providers_on(victim);
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+
+  SearchWorkload workload(sim, deployment->gateways(), 20.0);
+  workload.run_for(10 * sim::kSecond);
+  sim.run_until(sim.now() + 12 * sim::kSecond);
+  EXPECT_EQ(workload.total_failed(), 0u);
+  EXPECT_GT(workload.total_completed(), 150u);
+
+  // Every doc partition is asked repeatedly; the restarted replica must
+  // answer some of those requests itself.
+  const net::HostId victim_host = cluster->hosts()[victim];
+  int served_by_victim = 0;
+  ServiceConsumer& consumer = deployment->gateways()[0]->consumer();
+  for (int round = 0; round < 20; ++round) {
+    for (int partition = 0; partition < deployment->params().doc_partitions;
+         ++partition) {
+      consumer.invoke(kDocService, partition, 10, 10,
+                      [&](const InvokeResult& result) {
+                        if (result.ok() && result.server == victim_host) {
+                          ++served_by_victim;
+                        }
+                      });
+    }
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
+  }
+  sim.run_until(sim.now() + 2 * sim::kSecond);
+  EXPECT_GT(served_by_victim, 0);
+}
+
 TEST(SearchMultiDc, DocFailureFailsOverToRemoteDatacenter) {
   sim::Simulation sim(71);
   MultiDcParams params = default_two_dc_params();

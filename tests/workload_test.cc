@@ -74,27 +74,52 @@ TEST(Workload, HealthyClusterCompletesEverythingInPre) {
   EXPECT_LE(phases[0].p999_ns, phases[0].max_ns);
 }
 
+// The registry cells are the workload's queryable surface; each must agree
+// with the WorkloadDriver's phase report. A provider dies silently mid-run
+// so the failure, attempt and misroute counters are not all zero.
 TEST(Workload, RegistryCountersMatchTheReport) {
   WorkloadFixture fx;
   fx.build(5);
+  fx.sim.run_until(15 * sim::kSecond);
+  fx.net->set_host_up(fx.layout.hosts[1], false);
   fx.sim.run_until(30 * sim::kSecond);
   fx.driver->quiesce();
   fx.sim.run_until(35 * sim::kSecond);
 
   std::vector<PhaseSlo> phases = fx.driver->report();
-  uint64_t issued = 0, ok = 0;
+  PhaseSlo total;
   for (const PhaseSlo& p : phases) {
-    issued += p.issued;
-    ok += p.ok;
+    total.issued += p.issued;
+    total.ok += p.ok;
+    total.failed += p.failed;
+    total.attempts += p.attempts;
+    total.misroutes += p.misroutes;
+    total.via_proxy += p.via_proxy;
   }
+  EXPECT_GT(total.misroutes, 0u);
+
   const obs::MetricsRegistry& metrics = fx.net->obs().metrics;
-  EXPECT_EQ(metrics.counter_sum_over_nodes(obs::Protocol::kWorkload,
-                                           "requests_issued"),
-            issued);
-  EXPECT_EQ(
-      metrics.counter_sum_over_nodes(obs::Protocol::kWorkload, "requests_ok"),
-      ok);
-  EXPECT_EQ(fx.driver->issued(), issued);
+  auto sum = [&](std::string_view name) {
+    return metrics.counter_sum_over_nodes(obs::Protocol::kWorkload, name);
+  };
+  EXPECT_EQ(sum("requests_issued"), total.issued);
+  EXPECT_EQ(sum("requests_ok"), total.ok);
+  EXPECT_EQ(sum("requests_failed"), total.failed);
+  // The report counts attempts and misroutes of completed requests only;
+  // the registry adds them at completion too, so the sums match exactly.
+  EXPECT_EQ(sum("request_attempts"), total.attempts);
+  EXPECT_EQ(sum("misroutes"), total.misroutes);
+  EXPECT_EQ(sum("proxy_fallbacks"), total.via_proxy);
+  EXPECT_EQ(fx.driver->issued(), total.issued);
+
+  // One latency sample per successful request, kept per node.
+  uint64_t latency_samples = 0;
+  for (net::HostId host : fx.layout.hosts) {
+    const obs::Histogram* latency =
+        metrics.find_histogram(obs::Protocol::kWorkload, "latency_ns", host);
+    if (latency != nullptr) latency_samples += latency->tail.count();
+  }
+  EXPECT_EQ(latency_samples, total.ok);
 }
 
 TEST(Workload, SameSeedSameBytes) {
