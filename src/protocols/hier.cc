@@ -37,18 +37,32 @@ using membership::UpdateRecord;
 
 namespace {
 
-sim::Duration configured_refresh_interval(const HierConfig& config) {
-  if (config.anti_entropy_mode == AntiEntropyMode::kDigest &&
-      config.digest_interval > 0) {
-    return config.digest_interval;
-  }
-  return config.refresh_interval;
+UpdateRecord make_join_record(const EntryData& entry) {
+  UpdateRecord record;
+  record.kind = UpdateKind::kJoin;
+  record.subject = entry.node;
+  record.incarnation = entry.incarnation;
+  record.entry = entry;
+  return record;
 }
 
-size_t configured_digest_buckets(const HierConfig& config) {
-  const auto buckets = static_cast<size_t>(
-      config.digest_buckets > 0 ? config.digest_buckets : 1);
-  return std::min(buckets, membership::kMaxDigestBuckets);
+UpdateRecord make_leave_record(NodeId subject, Incarnation inc) {
+  UpdateRecord record;
+  record.kind = UpdateKind::kLeave;
+  record.subject = subject;
+  record.incarnation = inc;
+  return record;
+}
+
+// Per-bucket XOR of the rows' digest hashes.
+std::vector<uint64_t> bucket_hashes(
+    const std::vector<const MembershipEntry*>& rows, size_t bucket_count) {
+  std::vector<uint64_t> buckets(bucket_count, 0);
+  for (const MembershipEntry* row : rows) {
+    buckets[membership::digest_bucket_of(row->data.node, bucket_count)] ^=
+        membership::digest_row_hash(row->data);
+  }
+  return buckets;
 }
 
 }  // namespace
@@ -58,45 +72,48 @@ HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
     : MembershipDaemon(sim, net, self, std::move(own)),
       config_(config),
       heartbeat_timer_(sim, config.period, [this] { heartbeat_tick(); }),
-      scan_timer_(sim, config.scan_interval, [this] { scan_tick(); }),
+      scan_timer_(sim, kScanInterval, [this] { scan_tick(); }),
       refresh_timer_(sim,
-                     configured_refresh_interval(config) > 0
-                         ? configured_refresh_interval(config)
-                         : sim::kSecond,
+                     anti_entropy_interval() > 0 ? anti_entropy_interval()
+                                                 : sim::kSecond,
                      [this] { refresh_tick(); }),
       topo_poll_timer_(sim,
                        config.topology_poll_interval > 0
                            ? config.topology_poll_interval
                            : config.period,
-                       [this] { topology_poll_tick(); }) {
+                       [this] { topology_poll_tick(); }),
+      slots_(sim, net.obs(), self, config.period, config.image_serve_budget,
+             [this](int level, BusyKind kind, NodeId target) {
+               send_poll(level, kind, target);
+             }) {
   TAMP_CHECK(config_.max_ttl >= 1 && config_.max_ttl <= 250);
-  table_ = membership::MembershipTable(config_.tombstone_ttl);
+  resolve_metrics();
+  table_ = membership::MembershipTable(kTombstoneTtl);
   levels_.reserve(static_cast<size_t>(config_.max_ttl));
   for (int level = 0; level < config_.max_ttl; ++level) {
-    auto state = std::make_unique<LevelState>();
-    state->level = level;
-    state->listen_timer = std::make_unique<sim::OneShotTimer>(sim, [this, level] {
+    auto state = std::make_unique<LevelState>(UpdateStream(
+        config_.piggyback, level_timeout(level), metrics_.out_log_compacted,
+        metrics_.deaf_backlogs_dropped, metrics_.gaps_recovered_by_piggyback));
+    // Listening, the coordinator wait and the backup grace all end the
+    // same way: a channel still leaderless elects.
+    auto elect_if_leaderless = [this, level] {
       if (level_state(level).leader == membership::kInvalidNode) {
         maybe_start_election(level);
       }
-    });
+    };
+    state->listen_timer =
+        std::make_unique<sim::OneShotTimer>(sim, elect_if_leaderless);
     state->election_timer = std::make_unique<sim::OneShotTimer>(
         sim, [this, level] { election_deadline(level); });
-    state->coordinator_timer =
-        std::make_unique<sim::OneShotTimer>(sim, [this, level] {
-          LevelState& ls = level_state(level);
-          ls.electing = false;
-          if (ls.leader == membership::kInvalidNode) maybe_start_election(level);
+    state->coordinator_timer = std::make_unique<sim::OneShotTimer>(
+        sim, [this, level, elect_if_leaderless] {
+          level_state(level).electing = false;
+          elect_if_leaderless();
         });
     state->backup_grace_timer =
-        std::make_unique<sim::OneShotTimer>(sim, [this, level] {
-          if (level_state(level).leader == membership::kInvalidNode) {
-            maybe_start_election(level);
-          }
-        });
+        std::make_unique<sim::OneShotTimer>(sim, elect_if_leaderless);
     levels_.push_back(std::move(state));
   }
-  resolve_metrics();
 }
 
 HierDaemon::~HierDaemon() { stop(); }
@@ -121,10 +138,7 @@ void HierDaemon::resolve_metrics() {
   metrics_.stale_epoch_rejects = c("stale_epoch_rejects");
   metrics_.epochs_superseded = c("epochs_superseded");
   metrics_.deaf_backlogs_dropped = c("deaf_backlogs_dropped");
-  metrics_.exchange_retries = c("exchange_retries");
-  metrics_.exchange_budget_exhausted = c("exchange_budget_exhausted");
   metrics_.busy_sent = c("busy_sent");
-  metrics_.busy_deferrals = c("busy_deferrals");
   metrics_.out_log_compacted = c("out_log_compacted");
   metrics_.digests_sent = c("digests_sent");
   metrics_.digest_pulls_sent = c("digest_pulls_sent");
@@ -143,6 +157,17 @@ void HierDaemon::trace(obs::TraceKind kind, int level, uint64_t a,
   net_.obs().tracer.record(kind, self_, sim_.now(), level, a, b);
 }
 
+void HierDaemon::multicast(int level, const membership::Message& msg,
+                           size_t pad_to) {
+  net_.send_multicast(self_, channel_of(level), ttl_of(level),
+                      config_.data_port, encode_message(msg, pad_to));
+}
+
+void HierDaemon::unicast(NodeId to, const membership::Message& msg) {
+  net_.send_unicast(self_, net::Address{to, config_.control_port},
+                    encode_message(msg));
+}
+
 sim::Duration HierDaemon::level_timeout(int level) const {
   double factor = std::pow(config_.level_timeout_factor, level);
   return static_cast<sim::Duration>(
@@ -151,23 +176,14 @@ sim::Duration HierDaemon::level_timeout(int level) const {
 }
 
 int HierDaemon::level_of_channel(net::ChannelId channel) const {
-  // Admin-specified channels take precedence over the derived mapping.
-  for (size_t l = 0; l < config_.level_channels.size() &&
-                     l < static_cast<size_t>(config_.max_ttl);
-       ++l) {
-    if (config_.level_channels[l] != 0 &&
-        config_.level_channels[l] == channel) {
-      return static_cast<int>(l);
-    }
+  // Admin-specified channels take precedence over derived ones.
+  int derived = -1;
+  for (int l = 0; l < config_.max_ttl; ++l) {
+    if (channel_of(l) != channel) continue;
+    if (admin_channel(l) != 0) return l;
+    if (derived < 0) derived = l;
   }
-  if (channel < config_.base_channel) return -1;
-  auto level = static_cast<int64_t>(channel - config_.base_channel);
-  if (level >= config_.max_ttl) return -1;
-  if (static_cast<size_t>(level) < config_.level_channels.size() &&
-      config_.level_channels[static_cast<size_t>(level)] != 0) {
-    return -1;  // this level was remapped away from the derived channel
-  }
-  return static_cast<int>(level);
+  return derived;
 }
 
 // --- lifecycle ------------------------------------------------------------
@@ -207,7 +223,7 @@ void HierDaemon::join_level(int level) {
   if (ls.joined) return;
   ls.joined = true;
   trace(obs::TraceKind::kGroupJoin, level);
-  ls.last_received = sim_.now();  // deafness clock starts at (re)join
+  ls.stream.heard(sim_.now());  // deafness clock starts at (re)join
   net_.join_group(self_, channel_of(level));
   send_heartbeat(level);
   // Paper bootstrap: listen for a leader flag first; elect only if the
@@ -229,8 +245,7 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
       goodbye.is_leader = false;
       goodbye.leaving = true;
       goodbye.seq = ++hb_seq_;
-      net_.send_multicast(self_, channel_of(l), ttl_of(l), config_.data_port,
-                          encode_message(goodbye, config_.heartbeat_pad));
+      multicast(l, goodbye, config_.heartbeat_pad);
     }
     net_.leave_group(self_, channel_of(l));
     ls.joined = false;
@@ -240,22 +255,14 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
     ls.leader_backup = membership::kInvalidNode;
     ls.i_am_leader = false;
     ls.my_backup = membership::kInvalidNode;
-    ls.electing = false;
-    ls.answered = false;
     ls.prev_leader = membership::kInvalidNode;
     ls.prev_leader_incarnation = 0;
-    ls.in_seq.clear();
-    clear_out_log(ls);
-    ls.pending_bootstrap.reset();
-    ls.pending_syncs.clear();
+    ls.stream.reset();
+    slots_.clear(l);
     // `superseded` intentionally NOT reset: succession knowledge, like the
     // epoch itself, must never regress within one daemon lifetime.
-    // out_seq intentionally NOT reset: receivers' per-origin cursors must
-    // never observe a sequence regression.
     ls.listen_timer->cancel();
-    ls.election_timer->cancel();
-    ls.coordinator_timer->cancel();
-    ls.backup_grace_timer->cancel();
+    end_election(ls);
   }
 }
 
@@ -301,18 +308,14 @@ membership::Epoch HierDaemon::epoch_of(int level) const {
 }
 
 size_t HierDaemon::pending_exchanges(int level) const {
-  if (level < 0 || level >= config_.max_ttl) return 0;
-  const LevelState& ls = *levels_[level];
-  return ls.pending_syncs.size() + (ls.pending_bootstrap ? 1u : 0u);
+  return slots_.pending(level);
 }
 
 // --- periodic work ------------------------------------------------------------
 
 void HierDaemon::heartbeat_tick() {
   ++hb_seq_;
-  for (int l = 0; l < config_.max_ttl; ++l) {
-    if (levels_[l]->joined) send_heartbeat(l);
-  }
+  for (int l : joined_levels()) send_heartbeat(l);
   // The table-wide soft-state GC below is O(view size); its timeouts are
   // tens of seconds, so scanning every few periods loses nothing and keeps
   // thousand-node simulations fast.
@@ -359,39 +362,30 @@ void HierDaemon::send_heartbeat(int level) {
   heartbeat.level = static_cast<uint8_t>(level);
   heartbeat.is_leader = ls.i_am_leader;
   heartbeat.backup = ls.my_backup;
-  heartbeat.seq = ls.out_seq;
+  heartbeat.seq = ls.stream.seq();
   heartbeat.epoch = ls.epoch;
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port,
-                      encode_message(heartbeat, config_.heartbeat_pad));
+  multicast(level, heartbeat, config_.heartbeat_pad);
   metrics_.heartbeats_sent->add();
 }
 
 void HierDaemon::scan_tick() {
+  // Levels joined during the scan (a backup taking over joins the next
+  // level up) are scanned in the same tick.
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (levels_[l]->joined) scan_level(l);
+    if (!levels_[l]->joined) continue;
+    const sim::Duration timeout = level_timeout(l);
+    std::vector<NodeId> dead;
+    for (const auto& [node, info] : levels_[l]->members) {
+      if (sim_.now() - info.last_heard > timeout) dead.push_back(node);
+    }
+    for (NodeId node : dead) on_member_dead(l, node);
   }
-}
-
-void HierDaemon::scan_level(int level) {
-  LevelState& ls = level_state(level);
-  const sim::Time now = sim_.now();
-  const sim::Duration timeout = level_timeout(level);
-  std::vector<NodeId> dead;
-  for (const auto& [node, info] : ls.members) {
-    if (now - info.last_heard > timeout) dead.push_back(node);
-  }
-  for (NodeId node : dead) on_member_dead(level, node);
 }
 
 void HierDaemon::topology_poll_tick() {
   const uint64_t epoch = net_.topology().epoch();
   if (epoch == topo_epoch_seen_) return;
   topo_epoch_seen_ = epoch;
-  on_topology_change(epoch);
-}
-
-void HierDaemon::on_topology_change(uint64_t epoch) {
   // The routing fabric changed shape under us. Re-probe every group
   // member's TTL distance against the new routes and shed the ones whose
   // distance no longer fits their level — waiting for their heartbeats to
@@ -399,18 +393,14 @@ void HierDaemon::on_topology_change(uint64_t epoch) {
   // migrated node is alive). Members that moved *into* scope announce
   // themselves on the next heartbeat they multicast.
   uint64_t dropped = 0;
-  for (int level = 0; level < config_.max_ttl; ++level) {
-    if (levels_[level]->joined) dropped += drop_out_of_scope(level);
-  }
+  for (int level : joined_levels()) dropped += drop_out_of_scope(level);
   trace(obs::TraceKind::kTopologyChange, -1, epoch, dropped);
   if (dropped > 0) metrics_.topology_rescopes->add(dropped);
   // Announce immediately on every joined channel: peers the new routes just
   // put within earshot hear us up to a full period early, and where two
   // established leaders suddenly share a scope the heartbeat's leader flag
   // starts the merge (lowest id keeps the role) right away.
-  for (int level = 0; level < config_.max_ttl; ++level) {
-    if (levels_[level]->joined) send_heartbeat(level);
-  }
+  for (int level : joined_levels()) send_heartbeat(level);
 }
 
 size_t HierDaemon::drop_out_of_scope(int level) {
@@ -421,23 +411,25 @@ size_t HierDaemon::drop_out_of_scope(int level) {
     if (ttl == 0 || ttl > level + 1) gone.push_back(member);
   }
   for (NodeId member : gone) {
-    // Mirror the voluntary-leave path (on_heartbeat's `leaving` branch):
-    // the member is alive, merely out of earshot now, so no leave record is
-    // relayed and no purge cascades — its entry just becomes second-hand.
-    ls.members.erase(member);
-    prune_pending(ls, member);
-    if (ls.leader == member) {
-      ls.leader = membership::kInvalidNode;
-      ls.backup_grace_timer->restart(config_.backup_grace);
-    }
+    forget_member(level, member);
     if (ls.i_am_leader && ls.my_backup == member) {
       ls.my_backup = pick_backup(level);
     }
-    if (!heard_directly(member)) {
-      table_.demote_to_relayed(member, membership::kInvalidNode);
-    }
   }
   return gone.size();
+}
+
+void HierDaemon::forget_member(int level, NodeId member) {
+  LevelState& ls = level_state(level);
+  ls.members.erase(member);
+  slots_.prune(level, member);
+  if (ls.leader == member) {
+    ls.leader = membership::kInvalidNode;
+    ls.backup_grace_timer->restart(kBackupGrace);
+  }
+  if (!heard_directly(member)) {
+    table_.demote_to_relayed(member, membership::kInvalidNode);
+  }
 }
 
 bool HierDaemon::heard_directly(NodeId node) const {
@@ -458,7 +450,7 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
   const Incarnation lost_incarnation =
       lost_entry ? lost_entry->data.incarnation : 0;
   ls.members.erase(it);
-  prune_pending(ls, member);
+  slots_.prune(level, member);
 
   TAMP_LOG(Info) << "hier node " << self_ << " detects member " << member
                  << " dead at level " << level;
@@ -469,62 +461,58 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
   }
 
   if (!heard_directly(member)) {
-    if (table_.remove(member, lost_incarnation, sim_.now())) {
-      notify(member, false);
-      relay_record(make_leave_record(member, lost_incarnation), level);
-    }
+    drop_row(member, lost_incarnation, level);
     // Paper Timeout protocol: a dead node detected at level > 0 takes the
     // membership information it relayed with it (partition detection). A
     // dead *level-0* leader does not: the backup/new leader re-seeds the
     // group within the (larger) higher-level timeouts, so instant purging
     // would only cause view flapping; orphan expiry is the backstop.
-    if (level > 0) purge_dependents(member, level, ls.epoch);
+    if (level > 0) purge_dependents(member, level);
   }
 
   if (was_leader) handle_leader_loss(level, member, lost_incarnation);
 }
 
-void HierDaemon::purge_dependents(NodeId dead, int arrival_level,
-                                  membership::Epoch trigger_epoch) {
-  // A purge established under a leadership epoch that has since been
-  // superseded is acting on stale knowledge: the new leadership's refresh
-  // is re-seeding exactly the entries this purge would remove.
-  if (trigger_epoch < level_state(arrival_level).epoch) {
-    metrics_.stale_epoch_rejects->add();
-    return;
-  }
+void HierDaemon::purge_dependents(NodeId dead, int arrival_level) {
   // Worklist: purging one relay may orphan entries relayed by the purged
   // node in turn (multi-hop chains).
   std::vector<NodeId> worklist{dead};
   while (!worklist.empty()) {
     NodeId relay = worklist.back();
     worklist.pop_back();
-    std::vector<std::pair<NodeId, Incarnation>> victims;
     // Entries announced by the dead relay went quiet when it did, so by the
     // time its death is detected (one level_timeout at this level) they are
     // at least that stale. Anything fresher is being re-announced by a
-    // *live* relay (e.g. a new leader's refresh) and must survive the purge.
-    const sim::Duration fresh_horizon = level_timeout(arrival_level);
-    for (const auto& [id, entry] : table_.entries()) {
-      if (entry.liveness != Liveness::kRelayed || entry.relayed_by != relay ||
-          id == self_ || heard_directly(id)) {
-        continue;
-      }
-      // Skip entries someone is actively re-announcing (a new leader's
-      // refresh beat our purge): they have a live chain and will either be
-      // re-tagged to it or expire as orphans.
-      if (sim_.now() - entry.last_heard <= fresh_horizon) continue;
-      victims.emplace_back(id, entry.data.incarnation);
-    }
-    for (const auto& [id, incarnation] : victims) {
-      if (table_.remove(id, incarnation, sim_.now())) {
+    // *live* relay (e.g. a new leader's refresh beat our purge) and must
+    // survive: it will either be re-tagged to it or expire as an orphan.
+    for (const auto& [id, incarnation] : quiet_rows_via(relay, arrival_level)) {
+      if (drop_row(id, incarnation, arrival_level)) {
         metrics_.relayed_purges->add();
-        notify(id, false);
-        relay_record(make_leave_record(id, incarnation), arrival_level);
         worklist.push_back(id);
       }
     }
   }
+}
+
+std::vector<std::pair<NodeId, Incarnation>> HierDaemon::quiet_rows_via(
+    NodeId relay, int level) const {
+  std::vector<std::pair<NodeId, Incarnation>> rows;
+  const sim::Duration horizon = level_timeout(level);
+  for (const auto& [id, entry] : table_.entries()) {
+    if (entry.liveness == Liveness::kRelayed && entry.relayed_by == relay &&
+        id != self_ && !heard_directly(id) &&
+        sim_.now() - entry.last_heard > horizon) {
+      rows.emplace_back(id, entry.data.incarnation);
+    }
+  }
+  return rows;
+}
+
+bool HierDaemon::drop_row(NodeId id, Incarnation incarnation, int level) {
+  if (!table_.remove(id, incarnation, sim_.now())) return false;
+  notify(id, false);
+  relay_record(make_leave_record(id, incarnation), level);
+  return true;
 }
 
 // --- packet handling -----------------------------------------------------------
@@ -534,19 +522,9 @@ void HierDaemon::on_data_packet(const net::Packet& packet) {
   if (level < 0 || !levels_[level]->joined) return;
   auto message = decode_message(packet);
   if (!message) return;
-  // Resurfacing check: a deafness gap exceeding this level's own failure
-  // timeout means every peer has, by the same clock, timed us out and moved
-  // on. Whatever we stamped into the out-log while cut off (chiefly the
-  // leaves of nodes we could no longer hear) describes a world that no
-  // longer exists — drop it rather than replay it through the piggyback.
-  LevelState& arrival = *levels_[level];
-  const sim::Time arrived = sim_.now();
-  if (arrival.last_received > 0 && !arrival.out_log.empty() &&
-      arrived - arrival.last_received > level_timeout(level)) {
-    clear_out_log(arrival);
-    metrics_.deaf_backlogs_dropped->add();
-  }
-  arrival.last_received = arrived;
+  // Resurfacing check: after a long enough deafness the backlog is dropped
+  // rather than replayed through the piggyback.
+  levels_[level]->stream.heard(sim_.now());
   std::visit(
       [&](auto&& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -572,108 +550,66 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
       [&](auto&& msg) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, BootstrapRequestMsg>) {
-          const int req_level =
-              msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
+          const int req_level = clamp_level(msg.level);
           // Symmetric exchange: absorb what the newcomer knows (it may be a
           // lower-level leader bringing a subtree) — cheap inbound work that
           // happens even when the O(N) image serve below is refused.
           absorb_entries(msg.known, msg.requester, 0);
-          if (!admit_image_serve()) {
-            send_busy(msg.requester, static_cast<uint8_t>(req_level),
-                      BusyKind::kBootstrap);
-            return;
-          }
-          metrics_.bootstraps_served->add();
           BootstrapResponseMsg response;
-          response.responder = self_;
-          response.responder_incarnation = own_.incarnation;
           response.level = static_cast<uint8_t>(req_level);
           response.epoch = levels_[req_level]->epoch;
-          response.entries = full_view();
-          metrics_.image_serve_entries->observe(
-              static_cast<double>(response.entries.size()));
-          net_.send_unicast(self_,
-                            net::Address{msg.requester, config_.control_port},
-                            encode_message(response));
+          serve_image(msg.requester, BusyKind::kBootstrap, response);
         } else if constexpr (std::is_same_v<T, BootstrapResponseMsg>) {
-          const int arrival =
-              msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
+          const int arrival = clamp_level(msg.level);
           LevelState& ls = *levels_[arrival];
           // A full image from a responder whose leadership of this channel
           // was superseded is itself stale: don't absorb it, the live
           // leader's traffic is already re-seeding us.
-          if (fenced_stale(ls, msg.responder, msg.epoch,
+          if (reject_stale(ls, msg.responder, msg.epoch,
                            msg.responder_incarnation)) {
-            metrics_.stale_epoch_rejects->add();
             return;
           }
           // The exchange completed: only now is the level bootstrapped. A
           // lost response leaves the flag down and the retry timer running.
           if (ls.joined) ls.bootstrapped = true;
-          ls.pending_bootstrap.reset();
+          slots_.close(arrival, BusyKind::kBootstrap, msg.responder);
           absorb_entries(msg.entries, msg.responder, arrival);
         } else if constexpr (std::is_same_v<T, SyncRequestMsg>) {
-          if (!admit_image_serve()) {
-            send_busy(msg.requester, msg.level, BusyKind::kSync);
-            return;
-          }
-          metrics_.syncs_served->add();
           SyncResponseMsg response;
-          response.responder = self_;
-          response.responder_incarnation = own_.incarnation;
           response.level = msg.level;
-          if (msg.level < config_.max_ttl) {
-            const int req_level = static_cast<int>(msg.level);
-            if (levels_[req_level]->joined) {
-              response.stream_seq = levels_[req_level]->out_seq;
-            }
-            response.epoch = levels_[req_level]->epoch;
+          if (joined(msg.level)) {
+            response.stream_seq = levels_[msg.level]->stream.seq();
           }
-          response.entries = full_view();
-          metrics_.image_serve_entries->observe(
-              static_cast<double>(response.entries.size()));
-          net_.send_unicast(self_,
-                            net::Address{msg.requester, config_.control_port},
-                            encode_message(response));
+          response.epoch = epoch_of(msg.level);
+          serve_image(msg.requester, BusyKind::kSync, response);
         } else if constexpr (std::is_same_v<T, SyncResponseMsg>) {
-          int level = msg.level;
-          if (level < config_.max_ttl && levels_[level]->joined) {
+          const int level = joined(msg.level) ? msg.level : 0;
+          if (joined(msg.level)) {
             // Reconciliation removes entries, so it must never run against
             // the image of a responder whose leadership of this channel was
             // superseded (a resumed stale leader serves a view missing most
             // of the cluster).
-            if (fenced_stale(*levels_[level], msg.responder, msg.epoch,
+            if (reject_stale(*levels_[level], msg.responder, msg.epoch,
                              msg.responder_incarnation)) {
-              metrics_.stale_epoch_rejects->add();
               return;
             }
             // The poll was answered; stop the retry timer for it.
-            levels_[level]->pending_syncs.erase(msg.responder);
+            slots_.close(level, BusyKind::kSync, msg.responder);
             // The image covers everything up to the responder's current
             // stream position: re-anchor our cursor there.
-            auto& in_seq = levels_[level]->in_seq;
-            auto cursor = in_seq.find(msg.responder);
-            if (cursor == in_seq.end() ||
-                cursor->second.incarnation < msg.responder_incarnation ||
-                (cursor->second.incarnation == msg.responder_incarnation &&
-                 cursor->second.seq < msg.stream_seq)) {
-              in_seq[msg.responder] = LevelState::InCursor{
-                  msg.responder_incarnation, msg.stream_seq};
-            }
-            reconcile_with_image(msg.responder, msg.entries, level);
-            absorb_entries(msg.entries, msg.responder, level);
-          } else {
-            reconcile_with_image(msg.responder, msg.entries, 0);
-            absorb_entries(msg.entries, msg.responder, 0);
+            levels_[level]->stream.anchor(
+                msg.responder, msg.responder_incarnation, msg.stream_seq);
           }
+          reconcile_with_image(msg.responder, msg.entries, level);
+          absorb_entries(msg.entries, msg.responder, level);
         } else if constexpr (std::is_same_v<T, ElectionAnswerMsg>) {
-          int level = msg.level;
-          if (level >= 0 && level < config_.max_ttl &&
-              levels_[level]->joined && levels_[level]->electing) {
-            levels_[level]->answered = true;
+          if (joined(msg.level) && levels_[msg.level]->electing) {
+            levels_[msg.level]->answered = true;
           }
         } else if constexpr (std::is_same_v<T, BusyMsg>) {
-          on_busy(msg);
+          // Honor the deferral without consuming a retry attempt.
+          slots_.defer(clamp_level(msg.level), msg.kind, msg.responder,
+                       msg.retry_after);
         } else if constexpr (std::is_same_v<T, RefreshPullMsg>) {
           on_refresh_pull(msg);
         } else if constexpr (std::is_same_v<T, RefreshDeltaMsg>) {
@@ -690,20 +626,10 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   const sim::Time now = sim_.now();
 
   if (msg.leaving) {
-    // Voluntary channel departure: the node is alive, just out of earshot
-    // here. Drop the membership bookkeeping without any death semantics.
-    ls.members.erase(sender);
-    prune_pending(ls, sender);
-    if (ls.leader == sender) {
-      ls.leader = membership::kInvalidNode;
-      ls.backup_grace_timer->restart(config_.backup_grace);
-    }
-    // Keep the entry's contents fresh, but record that our knowledge of it
-    // is about to become second-hand.
+    // Keep the entry's contents fresh before our knowledge of it becomes
+    // second-hand.
     table_.apply(msg.entry, Liveness::kDirect, membership::kInvalidNode, now);
-    if (!heard_directly(sender)) {
-      table_.demote_to_relayed(sender, membership::kInvalidNode);
-    }
+    forget_member(level, sender);
     return;
   }
 
@@ -716,7 +642,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // (leader flag / COORDINATOR), never second-hand member gossip.
   const bool stale_claim =
       msg.is_leader &&
-      fenced_stale(ls, sender, msg.epoch, msg.entry.incarnation);
+      reject_stale(ls, sender, msg.epoch, msg.entry.incarnation);
   if (msg.is_leader && !stale_claim) {
     if (msg.epoch > ls.epoch) adopt_epoch(level, msg.epoch, sender);
   } else if (!msg.is_leader && !ls.i_am_leader && msg.epoch > ls.epoch) {
@@ -737,44 +663,21 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
 
   // The heartbeat advertises the sender's update-stream position: a cursor
   // behind it means we lost update packets with nothing since to expose the
-  // gap — poll for a fresh image (paper Message Loss Detection).
-  auto cursor = ls.in_seq.find(sender);
-  if (cursor == ls.in_seq.end() ||
-      cursor->second.incarnation < msg.entry.incarnation) {
-    // First contact (or a restarted sender with a fresh stream): anchor;
-    // the bootstrap exchange supplies the content.
-    ls.in_seq[sender] =
-        LevelState::InCursor{msg.entry.incarnation, msg.seq};
-  } else if (cursor->second.incarnation == msg.entry.incarnation &&
-             msg.seq > cursor->second.seq) {
-    // Cursor only advances when the recovery actually lands (update or
-    // sync response): a lost poll is retried by the exchange's own timer.
-    request_sync(level, sender, msg.seq);
+  // gap — poll for a fresh image (paper Message Loss Detection). A first
+  // contact just anchors; the bootstrap exchange supplies the content. The
+  // cursor only advances when the recovery actually lands (update or sync
+  // response): a lost poll is retried by the exchange's own timer.
+  if (ls.stream.lags(sender, msg.entry.incarnation, msg.seq)) {
+    request_sync(level, sender, msg.entry.incarnation, msg.seq);
   }
 
-  if (stale_claim) {
-    // Reject the claim: don't adopt the sender as leader, don't yield to
-    // it, don't pull its (stale) image. If we hold the live leadership,
-    // repel it — assert the current epoch and re-seed the claimant's view
-    // so it abdicates and recovers without operator action.
-    metrics_.stale_epoch_rejects->add();
-    if (ls.i_am_leader) {
-      repel_stale_claim(level, sender, msg.epoch, msg.entry.incarnation);
-    }
-    if (ls.leader == sender) ls.leader = membership::kInvalidNode;
-  } else if (msg.is_leader) {
+  if (msg.is_leader && !stale_claim) {
     const bool leader_changed = ls.leader != sender;
     if (leader_changed) {
       ls.leader = sender;
       ls.prev_leader = membership::kInvalidNode;  // succession resolved
       ls.prev_leader_incarnation = 0;
-      ls.backup_grace_timer->cancel();
-      if (ls.electing) {
-        ls.electing = false;
-        ls.answered = false;
-        ls.election_timer->cancel();
-        ls.coordinator_timer->cancel();
-      }
+      end_election(ls);
     }
     ls.leader_backup = msg.backup;
     if (ls.i_am_leader) {
@@ -798,8 +701,16 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
       // full image from whoever now leads this channel.
       request_bootstrap(level, sender);
     }
-  } else if (ls.leader == sender) {
-    ls.leader = membership::kInvalidNode;  // it stepped down
+  } else {
+    // Reject a stale claim: don't adopt the sender as leader, don't yield
+    // to it, don't pull its (stale) image. If we hold the live leadership,
+    // repel it — assert the current epoch and re-seed the claimant's view
+    // so it abdicates and recovers without operator action.
+    if (stale_claim && ls.i_am_leader) {
+      repel_stale_claim(level, sender, msg.epoch, msg.entry.incarnation);
+    }
+    // Stale, or it stepped down: either way the sender does not lead.
+    if (ls.leader == sender) ls.leader = membership::kInvalidNode;
   }
 
   // A fresh face (or fresh contents) in a group we participate in gets
@@ -822,60 +733,19 @@ void HierDaemon::on_update(int level, const UpdateMsg& msg) {
   // stamped while detached, describe a world that no longer exists. Epochs
   // from other, overlapping lineages pass (not comparable numbers), and so
   // does a restarted origin's fresh stream (new life, new lineage).
-  if (fenced_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) {
-    metrics_.stale_epoch_rejects->add();
-    return;
-  }
+  if (reject_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) return;
   if (msg.records.empty()) return;
 
-  std::vector<const UpdateRecord*> ordered;
-  ordered.reserve(msg.records.size());
-  for (const auto& record : msg.records) ordered.push_back(&record);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const UpdateRecord* a, const UpdateRecord* b) {
-              return a->seq < b->seq;
-            });
-
-  const uint64_t newest = ordered.back()->seq;
-  auto cursor = ls.in_seq.find(msg.origin);
-
-  if (cursor == ls.in_seq.end() ||
-      cursor->second.incarnation < msg.origin_incarnation) {
-    // First contact with this origin's stream on this channel (or the
-    // origin restarted and its sequence numbers start over): accept
-    // everything and anchor the cursor — there is no history to have lost.
-    for (const auto* record : ordered) process_record(*record, msg.origin, level);
-    ls.in_seq[msg.origin] =
-        LevelState::InCursor{msg.origin_incarnation, newest};
-    return;
+  const auto receipt = ls.stream.receive(msg);
+  if (receipt.verdict == UpdateStream::Verdict::kNeedsSync) {
+    // Poll the origin for a full image (paper Message Loss Detection); the
+    // present records are still applied (idempotent).
+    request_sync(level, msg.origin, msg.origin_incarnation,
+                 receipt.fresh.back()->seq);
   }
-  if (cursor->second.incarnation > msg.origin_incarnation) {
-    return;  // stale message from a previous life of the origin
+  for (const auto* record : receipt.fresh) {
+    process_record(*record, msg.origin, level);
   }
-
-  const uint64_t known = cursor->second.seq;
-  if (newest <= known) return;  // stale duplicate
-  if (msg.window_base > known) {
-    // Records in (known, window_base] were trimmed out of the origin's
-    // bounded log — unrecoverable from this message even with the
-    // piggybacked history: poll the origin for a full image (paper Message
-    // Loss Detection). Holes above window_base are compaction, not loss
-    // (the shadowing record is in the message). The cursor stays put so
-    // the gap keeps being visible until the poll succeeds; the present
-    // records are still applied (idempotent).
-    request_sync(level, msg.origin, newest);
-    for (const auto* record : ordered) {
-      if (record->seq > known) process_record(*record, msg.origin, level);
-    }
-    return;
-  }
-  if (known + 1 < newest) {
-    metrics_.gaps_recovered_by_piggyback->add();
-  }
-  for (const auto* record : ordered) {
-    if (record->seq > known) process_record(*record, msg.origin, level);
-  }
-  cursor->second.seq = newest;
 }
 
 void HierDaemon::on_election(int level, const ElectionMsg& msg) {
@@ -889,8 +759,7 @@ void HierDaemon::on_election(int level, const ElectionMsg& msg) {
     ElectionAnswerMsg answer;
     answer.responder = self_;
     answer.level = static_cast<uint8_t>(level);
-    net_.send_unicast(self_, net::Address{msg.candidate, config_.control_port},
-                      encode_message(answer));
+    unicast(msg.candidate, answer);
     maybe_start_election(level);
   }
 }
@@ -898,10 +767,9 @@ void HierDaemon::on_election(int level, const ElectionMsg& msg) {
 void HierDaemon::on_coordinator(int level, const CoordinatorMsg& msg) {
   LevelState& ls = level_state(level);
   if (msg.leader == self_) return;
-  if (fenced_stale(ls, msg.leader, msg.epoch, msg.leader_incarnation)) {
+  if (reject_stale(ls, msg.leader, msg.epoch, msg.leader_incarnation)) {
     // Stale replay: an announcement of leadership the group has since
     // re-elected away (e.g. a resumed leader's deferred COORDINATOR).
-    metrics_.stale_epoch_rejects->add();
     if (ls.i_am_leader) {
       repel_stale_claim(level, msg.leader, msg.epoch, msg.leader_incarnation);
     }
@@ -915,11 +783,9 @@ void HierDaemon::on_coordinator(int level, const CoordinatorMsg& msg) {
       msg.prev != self_ && msg.epoch > 0) {
     raise_fence(ls, msg.prev, msg.epoch - 1, msg.prev_incarnation);
   }
-  if (msg.epoch > ls.epoch) {
-    adopt_epoch(level, msg.epoch, msg.leader);
-    // adopt_epoch resolved any leadership we held; fall through as a
-    // follower and record the announcer.
-  }
+  // A newer epoch resolves any leadership we held (adopt_epoch ignores an
+  // older one); fall through as a follower and record the announcer.
+  adopt_epoch(level, msg.epoch, msg.leader);
   if (ls.i_am_leader) {
     if (msg.leader < self_) {
       ls.leader = msg.leader;
@@ -934,11 +800,7 @@ void HierDaemon::on_coordinator(int level, const CoordinatorMsg& msg) {
   ls.leader_backup = msg.backup;
   ls.prev_leader = membership::kInvalidNode;  // succession resolved
   ls.prev_leader_incarnation = 0;
-  ls.electing = false;
-  ls.answered = false;
-  ls.election_timer->cancel();
-  ls.coordinator_timer->cancel();
-  ls.backup_grace_timer->cancel();
+  end_election(ls);
   ls.members[msg.leader] = MemberInfo{sim_.now(), true, msg.backup};
   if (!ls.bootstrapped) request_bootstrap(level, msg.leader);
 }
@@ -968,9 +830,8 @@ void HierDaemon::maybe_start_election(int level) {
   ElectionMsg msg;
   msg.candidate = self_;
   msg.level = static_cast<uint8_t>(level);
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
-  ls.election_timer->restart(config_.election_timeout);
+  multicast(level, msg);
+  ls.election_timer->restart(kElectionTimeout);
 }
 
 void HierDaemon::election_deadline(int level) {
@@ -980,7 +841,7 @@ void HierDaemon::election_deadline(int level) {
     become_leader(level);
   } else {
     // A lower-id node objected; give it time to announce itself.
-    ls.coordinator_timer->restart(config_.coordinator_timeout);
+    ls.coordinator_timer->restart(kCoordinatorTimeout);
   }
 }
 
@@ -994,18 +855,14 @@ NodeId HierDaemon::pick_backup(int level) {
 
 void HierDaemon::become_leader(int level) {
   LevelState& ls = level_state(level);
-  ls.electing = false;
-  ls.answered = false;
-  ls.election_timer->cancel();
-  ls.coordinator_timer->cancel();
-  ls.backup_grace_timer->cancel();
+  end_election(ls);
   if (ls.i_am_leader) return;
   ls.i_am_leader = true;
   ls.leader = self_;
   ls.my_backup = pick_backup(level);
   // Our own view is now the group's authority; an outstanding bootstrap
   // poll (to a dead or demoted leader) is moot.
-  ls.pending_bootstrap.reset();
+  slots_.close(level, BusyKind::kBootstrap, membership::kInvalidNode);
   // Mint a new leadership epoch above everything heard on this channel, and
   // fence the predecessor we are succeeding: its claims (and replayed
   // updates) below the new epoch are stale from this moment on.
@@ -1055,8 +912,7 @@ void HierDaemon::send_coordinator(int level) {
   msg.prev = ls.i_am_leader ? ls.prev_leader : membership::kInvalidNode;
   msg.leader_incarnation = own_.incarnation;
   msg.prev_incarnation = ls.i_am_leader ? ls.prev_leader_incarnation : 0;
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
+  multicast(level, msg);
   metrics_.coordinators_sent->add();
   trace(obs::TraceKind::kCoordinator, level, ls.epoch);
 }
@@ -1080,11 +936,12 @@ void HierDaemon::adopt_epoch(int level, membership::Epoch epoch,
   trace(obs::TraceKind::kEpochSupersede, level, epoch, new_leader);
   TAMP_LOG(Info) << "hier node " << self_ << " superseded at level " << level
                  << " (epoch " << epoch << "), abdicating";
-  clear_out_log(ls);
+  ls.stream.clear_log();
   ls.leader = new_leader;
   abdicate(level);
   ls.bootstrapped = false;
-  ls.pending_bootstrap.reset();  // any in-flight poll aimed at old leadership
+  // Any in-flight poll was aimed at the old leadership.
+  slots_.close(level, BusyKind::kBootstrap, membership::kInvalidNode);
   if (new_leader != membership::kInvalidNode) {
     request_bootstrap(level, new_leader);
   }
@@ -1107,15 +964,26 @@ void HierDaemon::raise_fence(LevelState& ls, NodeId node,
   }
 }
 
-bool HierDaemon::fenced_stale(const LevelState& ls, NodeId node,
+bool HierDaemon::reject_stale(const LevelState& ls, NodeId node,
                               membership::Epoch epoch,
                               membership::Incarnation incarnation) {
   // Stale only when the claimant's *current life* was superseded at or
   // below this epoch: a higher incarnation is a restart — a fresh lineage
   // the old succession record says nothing about.
   auto it = ls.superseded.find(node);
-  return it != ls.superseded.end() && incarnation <= it->second.incarnation &&
-         epoch <= it->second.epoch;
+  const bool stale = it != ls.superseded.end() &&
+                     incarnation <= it->second.incarnation &&
+                     epoch <= it->second.epoch;
+  if (stale) metrics_.stale_epoch_rejects->add();
+  return stale;
+}
+
+void HierDaemon::end_election(LevelState& ls) {
+  ls.electing = false;
+  ls.answered = false;
+  ls.election_timer->cancel();
+  ls.coordinator_timer->cancel();
+  ls.backup_grace_timer->cancel();
 }
 
 void HierDaemon::repel_stale_claim(int level, NodeId claimant,
@@ -1140,9 +1008,7 @@ void HierDaemon::repel_stale_claim(int level, NodeId claimant,
   send_state_refresh(level);
   // The resumed subtree hangs off this channel; re-announce upward too so
   // the parent group re-admits whatever the stale episode purged there.
-  if (level + 1 < config_.max_ttl && levels_[level + 1]->joined) {
-    send_state_refresh(level + 1, /*subtree_only=*/true);
-  }
+  if (joined(level + 1)) send_state_refresh(level + 1, /*subtree_only=*/true);
 }
 
 void HierDaemon::handle_leader_loss(int level, NodeId old_leader,
@@ -1165,30 +1031,13 @@ void HierDaemon::handle_leader_loss(int level, NodeId old_leader,
     return;
   }
   if (backup != membership::kInvalidNode && ls.members.contains(backup)) {
-    ls.backup_grace_timer->restart(config_.backup_grace);
+    ls.backup_grace_timer->restart(kBackupGrace);
   } else {
     maybe_start_election(level);
   }
 }
 
 // --- update propagation ------------------------------------------------------
-
-UpdateRecord HierDaemon::make_join_record(const EntryData& entry) {
-  UpdateRecord record;
-  record.kind = UpdateKind::kJoin;
-  record.subject = entry.node;
-  record.incarnation = entry.incarnation;
-  record.entry = entry;
-  return record;
-}
-
-UpdateRecord HierDaemon::make_leave_record(NodeId subject, Incarnation inc) {
-  UpdateRecord record;
-  record.kind = UpdateKind::kLeave;
-  record.subject = subject;
-  record.incarnation = inc;
-  return record;
-}
 
 bool HierDaemon::process_record(const UpdateRecord& record, NodeId relayed_by,
                                 int arrival_level) {
@@ -1199,12 +1048,7 @@ bool HierDaemon::process_record(const UpdateRecord& record, NodeId relayed_by,
 
   if (record.kind == UpdateKind::kJoin) {
     if (!record.entry) return false;
-    ApplyResult result = table_.apply(*record.entry, Liveness::kRelayed,
-                                      provenance_tag(record.subject, relayed_by),
-                                      now);
-    const bool fresh =
-        result == ApplyResult::kAdded || result == ApplyResult::kUpdated;
-    if (result == ApplyResult::kAdded) notify(record.subject, true);
+    const bool fresh = apply_relayed(record.subject, *record.entry, relayed_by);
     if (fresh) relay_record(record, arrival_level);
     return fresh;
   }
@@ -1221,8 +1065,7 @@ bool HierDaemon::process_record(const UpdateRecord& record, NodeId relayed_by,
   if (!table_.remove(record.subject, record.incarnation, now)) return false;
   notify(record.subject, false);
   relay_record(record, arrival_level);
-  purge_dependents(record.subject, arrival_level,
-                   levels_[arrival_level]->epoch);
+  purge_dependents(record.subject, arrival_level);
   return true;
 }
 
@@ -1245,13 +1088,8 @@ void HierDaemon::relay_record(const UpdateRecord& record, int arrival_level) {
     emit[l + 1] = true;
   }
   for (int l = 0; l < config_.max_ttl; ++l) {
-    if (emit[l]) emit_update(l, record);
+    if (emit[l]) emit_batch(l, {record});
   }
-}
-
-void HierDaemon::emit_update(int level, const UpdateRecord& record) {
-  std::vector<UpdateRecord> batch{record};
-  emit_batch(level, batch);
 }
 
 void HierDaemon::emit_batch(int level,
@@ -1259,70 +1097,12 @@ void HierDaemon::emit_batch(int level,
   LevelState& ls = level_state(level);
   if (!ls.joined || batch.empty()) return;
 
-  // Deafness guard, mirrored from on_data_packet for timer-driven emissions
-  // (a refresh can fire after a resume before any packet has arrived): a
-  // backlog stamped while cut off must not ride out on the piggyback.
-  if (ls.last_received > 0 && !ls.out_log.empty() &&
-      sim_.now() - ls.last_received > level_timeout(level)) {
-    clear_out_log(ls);
-    metrics_.deaf_backlogs_dropped->add();
-  }
-
-  UpdateMsg msg;
+  UpdateMsg msg = ls.stream.stamp(batch, ls.epoch, sim_.now());
   msg.origin = self_;
   msg.origin_incarnation = own_.incarnation;
-  msg.epoch = ls.epoch;
-  // Piggyback the previous records (newest first) after the new batch.
-  const size_t prior =
-      std::min<size_t>(static_cast<size_t>(config_.piggyback), ls.out_log.size());
-  for (const auto& record : batch) {
-    UpdateRecord stamped = record;
-    stamped.seq = ++ls.out_seq;
-    stamped.epoch = ls.epoch;
-    ls.out_log.push_front(stamped);
-  }
-  // Compaction: a record shadowed by a newer record for the same subject at
-  // an incarnation at least as new is dead weight — the shadower alone
-  // produces the same final table state at every receiver. Coalescing lets
-  // the bounded log cover a longer seq window, so fewer losses escalate to
-  // full-image syncs. The holes this opens are safe for window_base: the
-  // shadower sits at a higher seq in the same log, so any compacted seq
-  // inside a sent window is covered by a record in that window.
-  {
-    std::map<NodeId, Incarnation> newest;
-    for (auto it = ls.out_log.begin(); it != ls.out_log.end();) {
-      auto seen = newest.find(it->subject);
-      if (seen != newest.end() && it->incarnation <= seen->second) {
-        it = ls.out_log.erase(it);
-        metrics_.out_log_compacted->add();
-      } else {
-        auto& inc = newest[it->subject];
-        inc = std::max(inc, it->incarnation);
-        ++it;
-      }
-    }
-  }
-  const size_t send = std::min(batch.size() + prior, ls.out_log.size());
-  for (size_t i = 0; i < send; ++i) msg.records.push_back(ls.out_log[i]);
-  // Everything above window_base that still matters rides in this message:
-  // either the next retained-but-unsent record's seq, or the trim watermark
-  // when the whole log fits.
-  msg.window_base =
-      send < ls.out_log.size() ? ls.out_log[send].seq : ls.out_log_base;
-  while (ls.out_log.size() >
-         static_cast<size_t>(std::max(config_.piggyback + 1, 8))) {
-    ls.out_log_base = std::max(ls.out_log_base, ls.out_log.back().seq);
-    ls.out_log.pop_back();
-  }
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
+  multicast(level, msg);
   metrics_.updates_sent->add();
   trace(obs::TraceKind::kDeltaEmit, level, msg.records.size(), ls.epoch);
-}
-
-void HierDaemon::clear_out_log(LevelState& ls) {
-  ls.out_log.clear();
-  ls.out_log_base = ls.out_seq;
 }
 
 std::vector<const MembershipEntry*> HierDaemon::refresh_scope(
@@ -1357,14 +1137,17 @@ void HierDaemon::send_state_refresh(int level, bool subtree_only) {
 // --- incremental anti-entropy (digest mode) ---------------------------------
 
 sim::Duration HierDaemon::anti_entropy_interval() const {
-  return configured_refresh_interval(config_);
+  if (config_.anti_entropy_mode == AntiEntropyMode::kDigest &&
+      config_.digest_interval > 0) {
+    return config_.digest_interval;
+  }
+  return config_.refresh_interval;
 }
 
 void HierDaemon::send_refresh_digest(int level, bool subtree) {
   LevelState& ls = level_state(level);
   if (!ls.joined) return;
   const auto rows = refresh_scope(level, subtree);
-  const size_t bucket_count = configured_digest_buckets(config_);
   RefreshDigestMsg msg;
   msg.origin = self_;
   msg.origin_incarnation = own_.incarnation;
@@ -1372,19 +1155,16 @@ void HierDaemon::send_refresh_digest(int level, bool subtree) {
   msg.epoch = ls.epoch;
   msg.subtree = subtree;
   msg.row_count = static_cast<uint32_t>(rows.size());
-  msg.buckets.assign(bucket_count, 0);
-  if (subtree) msg.subjects.reserve(rows.size());
-  for (const MembershipEntry* row : rows) {
-    const uint64_t hash = membership::digest_row_hash(row->data);
-    msg.view_hash ^= hash;
-    msg.buckets[membership::digest_bucket_of(row->data.node, bucket_count)] ^=
-        hash;
-    // Table iteration is id-ascending, which is exactly the order the
-    // delta-varint scope coding wants.
-    if (subtree) msg.subjects.push_back(row->data.node);
+  msg.buckets = bucket_hashes(rows, kDigestBuckets);
+  for (uint64_t bucket : msg.buckets) msg.view_hash ^= bucket;
+  // Table iteration is id-ascending, which is exactly the order the
+  // delta-varint scope coding wants.
+  if (subtree) {
+    for (const MembershipEntry* row : rows) {
+      msg.subjects.push_back(row->data.node);
+    }
   }
-  net_.send_multicast(self_, channel_of(level), ttl_of(level),
-                      config_.data_port, encode_message(msg));
+  multicast(level, msg);
   metrics_.digests_sent->add();
 }
 
@@ -1416,27 +1196,18 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   // Same stale-replay fence as update streams: a digest from a superseded
   // leadership life describes a pre-re-election world; comparing against it
   // (and worse, pulling rows from it) would resurrect that world.
-  if (fenced_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) {
-    metrics_.stale_epoch_rejects->add();
-    return;
-  }
+  if (reject_stale(ls, msg.origin, msg.epoch, msg.origin_incarnation)) return;
   const size_t bucket_count = msg.buckets.size();
   if (bucket_count == 0 || bucket_count > membership::kMaxDigestBuckets) {
     return;
   }
 
   const auto rows = digest_receiver_scope(msg);
-  std::vector<uint64_t> buckets(bucket_count, 0);
-  for (const MembershipEntry* row : rows) {
-    buckets[membership::digest_bucket_of(row->data.node, bucket_count)] ^=
-        membership::digest_row_hash(row->data);
-  }
-  std::vector<bool> mismatched(bucket_count, false);
-  bool any_mismatch = false;
+  const std::vector<uint64_t> buckets = bucket_hashes(rows, bucket_count);
+  RefreshPullMsg pull;
   for (size_t b = 0; b < bucket_count; ++b) {
     if (buckets[b] != msg.buckets[b]) {
-      mismatched[b] = true;
-      any_mismatch = true;
+      pull.bucket_indices.push_back(static_cast<uint16_t>(b));
     }
   }
 
@@ -1445,42 +1216,32 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   // the bytes — re-rooting their provenance at the origin, the relay that
   // just vouched for them. Rows in mismatched buckets wait for the delta —
   // the ones the origin stopped announcing must keep aging toward orphan
-  // expiry, or a lost LEAVE would never be repaired.
+  // expiry, or a lost LEAVE would never be repaired — and are summarized
+  // in the pull.
   const sim::Time now = sim_.now();
   for (const MembershipEntry* row : rows) {
     const NodeId id = row->data.node;
-    if (id == self_ || row->liveness != Liveness::kRelayed) continue;
-    if (mismatched[membership::digest_bucket_of(id, bucket_count)]) continue;
-    table_.reconfirm_relay(id, msg.origin, now);
+    const size_t b = membership::digest_bucket_of(id, bucket_count);
+    if (buckets[b] != msg.buckets[b]) {
+      pull.rows.push_back(DigestRowSummary{
+          id, row->data.incarnation, membership::digest_row_hash(row->data)});
+    } else if (id != self_ && row->liveness == Liveness::kRelayed) {
+      table_.reconfirm_relay(id, msg.origin, now);
+    }
   }
-  if (!any_mismatch) return;
+  if (pull.bucket_indices.empty()) return;
 
-  RefreshPullMsg pull;
   pull.requester = self_;
   pull.level = static_cast<uint8_t>(level);
   pull.epoch = ls.epoch;
   pull.subtree = msg.subtree;
-  for (size_t b = 0; b < bucket_count; ++b) {
-    if (mismatched[b]) pull.bucket_indices.push_back(static_cast<uint16_t>(b));
-  }
-  for (const MembershipEntry* row : rows) {
-    if (!mismatched[membership::digest_bucket_of(row->data.node,
-                                                 bucket_count)]) {
-      continue;
-    }
-    pull.rows.push_back(DigestRowSummary{
-        row->data.node, row->data.incarnation,
-        membership::digest_row_hash(row->data)});
-  }
-  net_.send_unicast(self_, net::Address{msg.origin, config_.control_port},
-                    encode_message(pull));
+  unicast(msg.origin, pull);
   metrics_.digest_pulls_sent->add();
 }
 
 void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   if (msg.requester == self_) return;
-  const int level =
-      msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
+  const int level = clamp_level(msg.level);
   LevelState& ls = *levels_[level];
   if (!ls.joined) return;
   metrics_.digest_pulls_served->add();
@@ -1488,7 +1249,7 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   // Bucket geometry is ours (the pull answers our digest); indices outside
   // it are from a digest we did not send this configuration for — ignore
   // them rather than guess.
-  const size_t bucket_count = configured_digest_buckets(config_);
+  const size_t bucket_count = kDigestBuckets;
   std::vector<bool> wanted(bucket_count, false);
   for (uint16_t b : msg.bucket_indices) {
     if (b < bucket_count) wanted[b] = true;
@@ -1528,18 +1289,15 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   metrics_.delta_rows_shipped->add(delta.entries.size());
   metrics_.digest_rows_suppressed->add(delta.confirmed.size());
   metrics_.deltas_sent->add();
-  net_.send_unicast(self_, net::Address{msg.requester, config_.control_port},
-                    encode_message(delta));
+  unicast(msg.requester, delta);
 }
 
 void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
   if (msg.responder == self_) return;
-  const int level =
-      msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
+  const int level = clamp_level(msg.level);
   LevelState& ls = *levels_[level];
   if (!ls.joined) return;
-  if (fenced_stale(ls, msg.responder, msg.epoch, msg.responder_incarnation)) {
-    metrics_.stale_epoch_rejects->add();
+  if (reject_stale(ls, msg.responder, msg.epoch, msg.responder_incarnation)) {
     return;
   }
   absorb_entries(msg.entries, msg.responder, level);
@@ -1552,202 +1310,82 @@ void HierDaemon::on_refresh_delta(const RefreshDeltaMsg& msg) {
     // The backstop demotion: only a delta that could not carry the whole
     // divergence escalates to an O(N) image, and that path sits behind the
     // responder's image_serve_budget like any other full-image exchange.
+    // An exhausted sync slot is just dropped: the delta carries no stream
+    // position to anchor past.
     metrics_.digest_full_fallbacks->add();
-    request_sync(level, msg.responder, 0);
+    slots_.open(level, BusyKind::kSync, msg.responder);
   }
 }
 
 // --- bootstrap / sync -------------------------------------------------------
 
-void HierDaemon::request_sync(int level, NodeId origin, uint64_t observed_seq) {
-  LevelState& ls = level_state(level);
-  auto it = ls.pending_syncs.find(origin);
-  if (it != ls.pending_syncs.end()) {
-    if (!it->second->exhausted) return;  // a poll is already in flight
-    // The attempt budget on this origin is spent and it is still ahead of
-    // us: stop polling and anchor the cursor past the gap instead. The
-    // anti-entropy refresh re-announces whatever the lost stretch carried,
-    // and orphan expiry removes what it should have removed.
-    auto cursor = ls.in_seq.find(origin);
-    if (cursor != ls.in_seq.end() && observed_seq > cursor->second.seq) {
-      cursor->second.seq = observed_seq;
-    }
-    ls.pending_syncs.erase(it);
-    return;
+void HierDaemon::request_bootstrap(int level, NodeId leader) {
+  // An exhausted exchange waited for exactly this: a fresh leader claim.
+  if (!slots_.open(level, BusyKind::kBootstrap, leader)) {
+    slots_.open(level, BusyKind::kBootstrap, leader);
   }
-  auto pending = std::make_unique<LevelState::PendingExchange>();
-  pending->target = origin;
-  pending->timer = std::make_unique<sim::OneShotTimer>(
-      sim_, [this, level, origin] { sync_retry(level, origin); });
-  ls.pending_syncs.emplace(origin, std::move(pending));
-  send_sync_request(level, origin);
 }
 
-void HierDaemon::send_sync_request(int level, NodeId origin) {
+void HierDaemon::request_sync(int level, NodeId origin, Incarnation incarnation,
+                              uint64_t observed_seq) {
+  // The attempt budget on this origin is spent and it is still ahead of us:
+  // stop polling and anchor the cursor past the gap instead. The
+  // anti-entropy refresh re-announces whatever the lost stretch carried,
+  // and orphan expiry removes what it should have removed.
+  if (!slots_.open(level, BusyKind::kSync, origin)) {
+    level_state(level).stream.anchor(origin, incarnation, observed_seq);
+  }
+}
+
+void HierDaemon::send_poll(int level, BusyKind kind, NodeId target) {
   LevelState& ls = level_state(level);
-  auto it = ls.pending_syncs.find(origin);
-  if (it == ls.pending_syncs.end()) return;
+  if (kind == BusyKind::kBootstrap) {
+    metrics_.bootstraps_requested->add();
+    trace(obs::TraceKind::kBootstrapRequest, level, target);
+    BootstrapRequestMsg request;
+    request.requester = self_;
+    request.level = static_cast<uint8_t>(level);
+    request.epoch = ls.epoch;
+    request.known = full_view();
+    unicast(target, request);
+    return;
+  }
   metrics_.syncs_requested->add();
-  trace(obs::TraceKind::kSyncRequest, level, origin);
+  trace(obs::TraceKind::kSyncRequest, level, target);
   SyncRequestMsg request;
   request.requester = self_;
   request.level = static_cast<uint8_t>(level);
   // The live cursor, not the one captured when the exchange opened: an
   // intervening update may have advanced it.
-  auto cursor = ls.in_seq.find(origin);
-  request.last_seq_seen = cursor != ls.in_seq.end() ? cursor->second.seq : 0;
+  request.last_seq_seen = ls.stream.cursor(target);
   request.epoch = ls.epoch;
-  net_.send_unicast(self_, net::Address{origin, config_.control_port},
-                    encode_message(request));
-  it->second->timer->restart(
-      config_.exchange_retry.delay(it->second->attempts, sim_.rng()));
-  ++it->second->attempts;
+  unicast(target, request);
 }
 
-void HierDaemon::sync_retry(int level, NodeId origin) {
-  LevelState& ls = level_state(level);
-  auto it = ls.pending_syncs.find(origin);
-  if (it == ls.pending_syncs.end() || it->second->exhausted) return;
-  if (config_.exchange_retry.exhausted(it->second->attempts)) {
-    // The slot stays (marking the origin as hopeless for now) until the
-    // next gap sighting anchors past it; it must not be destroyed here,
-    // inside its own timer's callback.
-    it->second->exhausted = true;
-    metrics_.exchange_budget_exhausted->add();
-    trace(obs::TraceKind::kBudgetExhausted, level, origin);
+template <class Response>
+void HierDaemon::serve_image(NodeId requester, BusyKind kind,
+                             Response& response) {
+  if (!slots_.admit_serve()) {
+    metrics_.busy_sent->add();
+    BusyMsg busy;
+    busy.responder = self_;
+    busy.level = response.level;
+    busy.kind = kind;
+    busy.retry_after = slots_.busy_retry_after();
+    trace(obs::TraceKind::kBusyPushback, busy.level, requester,
+          static_cast<uint64_t>(busy.retry_after));
+    unicast(requester, busy);
     return;
   }
-  metrics_.exchange_retries->add();
-  trace(obs::TraceKind::kRetry, level, origin, it->second->attempts);
-  send_sync_request(level, origin);
-}
-
-void HierDaemon::request_bootstrap(int level, NodeId leader) {
-  LevelState& ls = level_state(level);
-  if (ls.pending_bootstrap && !ls.pending_bootstrap->exhausted &&
-      ls.pending_bootstrap->target == leader) {
-    return;  // a poll to this leader is already in flight
-  }
-  if (!ls.pending_bootstrap) {
-    ls.pending_bootstrap = std::make_unique<LevelState::PendingExchange>();
-    ls.pending_bootstrap->timer = std::make_unique<sim::OneShotTimer>(
-        sim_, [this, level] { bootstrap_retry(level); });
-  }
-  // Retarget (leadership moved) or restart after exhaustion: the attempt
-  // budget is per-exchange, and a fresh leader claim opens a fresh one.
-  ls.pending_bootstrap->target = leader;
-  ls.pending_bootstrap->attempts = 0;
-  ls.pending_bootstrap->exhausted = false;
-  send_bootstrap_request(level);
-}
-
-void HierDaemon::send_bootstrap_request(int level) {
-  LevelState& ls = level_state(level);
-  LevelState::PendingExchange& pending = *ls.pending_bootstrap;
-  metrics_.bootstraps_requested->add();
-  trace(obs::TraceKind::kBootstrapRequest, level, pending.target);
-  BootstrapRequestMsg request;
-  request.requester = self_;
-  request.level = static_cast<uint8_t>(level);
-  request.epoch = ls.epoch;
-  request.known = full_view();
-  net_.send_unicast(self_, net::Address{pending.target, config_.control_port},
-                    encode_message(request));
-  pending.timer->restart(
-      config_.exchange_retry.delay(pending.attempts, sim_.rng()));
-  ++pending.attempts;
-}
-
-void HierDaemon::bootstrap_retry(int level) {
-  LevelState& ls = level_state(level);
-  if (!ls.pending_bootstrap || ls.pending_bootstrap->exhausted) return;
-  if (config_.exchange_retry.exhausted(ls.pending_bootstrap->attempts)) {
-    // Budget spent on this leader: stop hammering it. `bootstrapped` stays
-    // false, so the next leader claim (heartbeat flag or COORDINATOR)
-    // re-opens the exchange — leader re-discovery is the escalation. The
-    // slot survives until then: destroying it here would free the timer
-    // whose callback this is.
-    ls.pending_bootstrap->exhausted = true;
-    metrics_.exchange_budget_exhausted->add();
-    trace(obs::TraceKind::kBudgetExhausted, level, ls.pending_bootstrap->target);
-    return;
-  }
-  metrics_.exchange_retries->add();
-  trace(obs::TraceKind::kRetry, level, ls.pending_bootstrap->target,
-        ls.pending_bootstrap->attempts);
-  send_bootstrap_request(level);
-}
-
-void HierDaemon::prune_pending(LevelState& ls, NodeId member) {
-  ls.pending_syncs.erase(member);
-  if (ls.pending_bootstrap && ls.pending_bootstrap->target == member) {
-    ls.pending_bootstrap.reset();
-  }
-}
-
-bool HierDaemon::admit_image_serve() {
-  if (config_.image_serve_budget == 0) return true;
-  const sim::Time now = sim_.now();
-  if (now - serve_window_start_ >= config_.period) {
-    serve_window_start_ = now;
-    serves_window_ = 0;
-    deferrals_window_ = 0;
-  }
-  if (serves_window_ < config_.image_serve_budget) {
-    ++serves_window_;
-    return true;
-  }
-  return false;
-}
-
-sim::Duration HierDaemon::busy_retry_after() {
-  // Deterministic stagger: successive refusals within one window are
-  // pointed at successively later windows, so a backlog of B requesters
-  // drains at `image_serve_budget` serves per period instead of all B
-  // re-colliding at the window rollover.
-  const sim::Duration until_next =
-      serve_window_start_ + config_.period - sim_.now();
-  const auto windows_ahead = static_cast<sim::Duration>(
-      deferrals_window_++ / config_.image_serve_budget);
-  return until_next + windows_ahead * config_.period;
-}
-
-void HierDaemon::send_busy(NodeId requester, uint8_t level, BusyKind kind) {
-  metrics_.busy_sent->add();
-  BusyMsg busy;
-  busy.responder = self_;
-  busy.level = level;
-  busy.kind = kind;
-  busy.retry_after = busy_retry_after();
-  trace(obs::TraceKind::kBusyPushback, level, requester,
-        static_cast<uint64_t>(busy.retry_after));
-  net_.send_unicast(self_, net::Address{requester, config_.control_port},
-                    encode_message(busy));
-}
-
-void HierDaemon::on_busy(const BusyMsg& msg) {
-  const int level =
-      msg.level < config_.max_ttl ? static_cast<int>(msg.level) : 0;
-  LevelState& ls = *levels_[level];
-  LevelState::PendingExchange* pending = nullptr;
-  if (msg.kind == BusyKind::kBootstrap) {
-    if (ls.pending_bootstrap && ls.pending_bootstrap->target == msg.responder) {
-      pending = ls.pending_bootstrap.get();
-    }
-  } else {
-    auto it = ls.pending_syncs.find(msg.responder);
-    if (it != ls.pending_syncs.end()) pending = it->second.get();
-  }
-  if (pending == nullptr || pending->exhausted) return;
-  metrics_.busy_deferrals->add();
-  trace(obs::TraceKind::kBusyDeferral, level, msg.responder,
-        static_cast<uint64_t>(msg.retry_after));
-  // Honor the deferral without consuming a retry attempt; the jitter
-  // spreads requesters that were handed the same retry_after.
-  const auto jitter = static_cast<sim::Duration>(sim_.rng().uniform_u64(
-      static_cast<uint64_t>(config_.period / 2) + 1));
-  pending->timer->restart(std::max<sim::Duration>(msg.retry_after, 1) +
-                          jitter);
+  (kind == BusyKind::kBootstrap ? metrics_.bootstraps_served
+                                : metrics_.syncs_served)
+      ->add();
+  response.responder = self_;
+  response.responder_incarnation = own_.incarnation;
+  response.entries = full_view();
+  metrics_.image_serve_entries->observe(
+      static_cast<double>(response.entries.size()));
+  unicast(requester, response);
 }
 
 std::vector<EntryData> HierDaemon::full_view() const {
@@ -1781,74 +1419,57 @@ void HierDaemon::reconcile_with_image(NodeId responder,
                                       int arrival_level) {
   std::set<NodeId> present;
   for (const auto& entry : entries) present.insert(entry.node);
-  const sim::Time now = sim_.now();
-  const sim::Duration fresh_horizon = level_timeout(arrival_level);
-  std::vector<std::pair<NodeId, Incarnation>> stale;
-  for (const auto& [id, entry] : table_.entries()) {
-    if (entry.liveness != Liveness::kRelayed ||
-        entry.relayed_by != responder || id == self_ || heard_directly(id) ||
-        present.contains(id)) {
-      continue;
-    }
-    // Only entries the responder has *stopped* announcing count as stale;
-    // a recently-applied entry may simply be younger than the image
-    // (formation-time races), so leave it to the normal lifecycle.
-    if (now - entry.last_heard <= fresh_horizon) continue;
-    stale.push_back({id, entry.data.incarnation});
-  }
-  for (const auto& [id, incarnation] : stale) {
-    if (table_.remove(id, incarnation, now)) {
-      notify(id, false);
-      relay_record(make_leave_record(id, incarnation), arrival_level);
-      purge_dependents(id, arrival_level,
-                       level_state(arrival_level).epoch);
+  // Only entries the responder has *stopped* announcing count as stale; a
+  // recently-applied entry may simply be younger than the image
+  // (formation-time races), so leave it to the normal lifecycle.
+  for (const auto& [id, incarnation] :
+       quiet_rows_via(responder, arrival_level)) {
+    if (!present.contains(id) && drop_row(id, incarnation, arrival_level)) {
+      purge_dependents(id, arrival_level);
     }
   }
 }
 
 void HierDaemon::absorb_entries(const std::vector<EntryData>& entries,
                                 NodeId relayed_by, int arrival_level) {
-  const sim::Time now = sim_.now();
   for (const auto& entry : entries) {
     if (entry.node == self_) continue;
-    // Tombstones are respected even in solicited exchanges: during a
-    // failover race the responder may still list a node we just declared
-    // dead, and overriding would flap the view. A healed partition's
-    // mutual tombstones simply expire, after which the periodic
-    // anti-entropy refresh re-merges the sides.
-    ApplyResult result =
-        table_.apply(entry, Liveness::kRelayed,
-                     provenance_tag(entry.node, relayed_by), now,
-                     /*override_tombstone=*/false);
-    if (result == ApplyResult::kAdded) notify(entry.node, true);
-    if (result == ApplyResult::kAdded || result == ApplyResult::kUpdated) {
+    if (apply_relayed(entry.node, entry, relayed_by)) {
       relay_record(make_join_record(entry), arrival_level);
     }
   }
 }
 
+// Tombstones are respected even in solicited exchanges: during a failover
+// race the responder may still list a node we just declared dead, and
+// overriding would flap the view. A healed partition's mutual tombstones
+// simply expire, after which the periodic anti-entropy refresh re-merges the
+// sides.
+bool HierDaemon::apply_relayed(NodeId subject, const EntryData& entry,
+                               NodeId relayed_by) {
+  const ApplyResult result =
+      table_.apply(entry, Liveness::kRelayed,
+                   provenance_tag(subject, relayed_by), sim_.now(),
+                   /*override_tombstone=*/false);
+  if (result == ApplyResult::kAdded) notify(subject, true);
+  return result == ApplyResult::kAdded || result == ApplyResult::kUpdated;
+}
+
 void HierDaemon::refresh_tick() {
-  const bool digest = config_.anti_entropy_mode == AntiEntropyMode::kDigest;
+  // Digest mode ships a summary instead of the rows; event-driven re-seeds
+  // elsewhere (become_leader, repel_stale_claim) stay on the full path,
+  // where the receivers provably need the whole image.
+  const auto refresh = config_.anti_entropy_mode == AntiEntropyMode::kDigest
+                           ? &HierDaemon::send_refresh_digest
+                           : &HierDaemon::send_state_refresh;
   for (int l = 0; l < config_.max_ttl; ++l) {
     if (!levels_[l]->joined || !levels_[l]->i_am_leader) continue;
     // Anti-entropy into the group this node leads, and upward into the
     // parent group it represents that subtree in: every relayed entry in
     // the cluster is re-announced along its chain once per interval, so
-    // freshness genuinely means "still being relayed". Digest mode ships a
-    // summary instead of the rows; event-driven re-seeds elsewhere
-    // (become_leader, repel_stale_claim) stay on the full path, where the
-    // receivers provably need the whole image.
-    if (digest) {
-      send_refresh_digest(l, /*subtree=*/false);
-      if (l + 1 < config_.max_ttl && levels_[l + 1]->joined) {
-        send_refresh_digest(l + 1, /*subtree=*/true);
-      }
-    } else {
-      send_state_refresh(l);
-      if (l + 1 < config_.max_ttl && levels_[l + 1]->joined) {
-        send_state_refresh(l + 1, /*subtree_only=*/true);
-      }
-    }
+    // freshness genuinely means "still being relayed".
+    (this->*refresh)(l, /*subtree_only=*/false);
+    if (joined(l + 1)) (this->*refresh)(l + 1, /*subtree_only=*/true);
   }
 }
 

@@ -12,7 +12,9 @@
 // node does not participate in an election on a channel where it already
 // hears a leader") and by idempotent updates.
 //
-// Sub-protocols (Section 3.1.2), all implemented here:
+// Sub-protocols (Section 3.1.2), driven from here; the update stream lives
+// in update_stream.h and the bootstrap/sync poll exchanges in
+// exchange_slots.h:
 //  * Bootstrap — a joining node listens for the leader flag, then pulls the
 //    full directory from the leader; the leader symmetrically absorbs
 //    whatever the newcomer knows (it may be a lower-level leader bringing a
@@ -40,17 +42,16 @@
 // all higher levels.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/obs.h"
 #include "protocols/daemon.h"
+#include "protocols/exchange_slots.h"
 #include "protocols/ports.h"
+#include "protocols/update_stream.h"
 #include "sim/timer.h"
-#include "util/retry.h"
 
 namespace tamp::protocols {
 
@@ -74,26 +75,13 @@ struct HierConfig {
   sim::Duration period = sim::kSecond;          // MCAST_FREQ
   int max_losses = 5;                           // MAX_LOSS
   double level_timeout_factor = 1.5;            // higher levels time out later
-  sim::Duration scan_interval = 100 * sim::kMillisecond;
   sim::Duration join_listen = 2500 * sim::kMillisecond;
-  sim::Duration election_timeout = 300 * sim::kMillisecond;
-  sim::Duration coordinator_timeout = 800 * sim::kMillisecond;
-  sim::Duration backup_grace = 600 * sim::kMillisecond;
   int piggyback = 3;          // previous updates carried by each update msg
   size_t heartbeat_pad = 0;   // fixed heartbeat size (0 = natural size)
   // Leaders periodically re-multicast their full view into the groups they
   // lead (anti-entropy backstop; repairs anything event-driven updates
   // missed, e.g. after a healed partition). 0 disables.
   sim::Duration refresh_interval = 30 * sim::kSecond;
-  // How long a removed node's (node, incarnation) stays quarantined against
-  // relayed re-joins. Must exceed the piggyback replay horizon and be short
-  // enough that healed partitions re-merge promptly.
-  sim::Duration tombstone_ttl = 15 * sim::kSecond;
-  // Solicited request/response exchanges (bootstrap and sync polls) are
-  // retried under this policy until answered; at budget exhaustion the
-  // requester escalates instead (bootstrap: wait for the next leader claim;
-  // sync: anchor past the gap and let the anti-entropy refresh repair it).
-  util::RetryPolicy exchange_retry{sim::kSecond, 8 * sim::kSecond};
   // Full-image serves (bootstrap + sync responses) admitted per `period`;
   // overflow is answered with BusyMsg{retry_after} so a mass join or healed
   // partition cannot turn a leader into an O(joiners) response burst.
@@ -111,9 +99,6 @@ struct HierConfig {
   // cap is marked truncated and the receiver escalates to the full-image
   // sync path (which sits behind image_serve_budget).
   int digest_max_rows_per_delta = 64;
-  // Buckets per digest; mismatches are repaired per-bucket, so more buckets
-  // localize divergence better at ~8 bytes each on the wire.
-  int digest_buckets = 16;
   // Self-healing across runtime topology mutation: how often to poll the
   // network's topology epoch (Topology::epoch()). On a change the daemon
   // re-probes every group member's TTL distance — modelling the ICMP probe
@@ -131,6 +116,21 @@ struct HierConfig {
 
 class HierDaemon : public MembershipDaemon {
  public:
+  // Fixed protocol timings. The failure-scan cadence and the election,
+  // coordinator-wait and backup-takeover deadlines:
+  static constexpr sim::Duration kScanInterval = 100 * sim::kMillisecond;
+  static constexpr sim::Duration kElectionTimeout = 300 * sim::kMillisecond;
+  static constexpr sim::Duration kCoordinatorTimeout = 800 * sim::kMillisecond;
+  static constexpr sim::Duration kBackupGrace = 600 * sim::kMillisecond;
+  // How long a removed node's (node, incarnation) stays quarantined against
+  // relayed re-joins. Must exceed the piggyback replay horizon and be short
+  // enough that healed partitions re-merge promptly.
+  static constexpr sim::Duration kTombstoneTtl = 15 * sim::kSecond;
+  // Buckets per sent digest; mismatches are repaired per-bucket, so more
+  // buckets localize divergence better at ~8 bytes each on the wire.
+  static constexpr size_t kDigestBuckets = 16;
+  static_assert(kDigestBuckets <= membership::kMaxDigestBuckets);
+
   HierDaemon(sim::Simulation& sim, net::Network& net, membership::NodeId self,
              membership::EntryData own, HierConfig config = {});
   ~HierDaemon() override;
@@ -166,7 +166,7 @@ class HierDaemon : public MembershipDaemon {
   };
 
   struct LevelState {
-    int level = 0;
+    explicit LevelState(UpdateStream stream) : stream(std::move(stream)) {}
     bool joined = false;
     bool bootstrapped = false;
     std::map<membership::NodeId, MemberInfo> members;  // excludes self
@@ -205,44 +205,12 @@ class HierDaemon : public MembershipDaemon {
     // incarnation its fenced life was living.
     membership::NodeId prev_leader = membership::kInvalidNode;
     membership::Incarnation prev_leader_incarnation = 0;
-    // Last time any packet arrived on this channel. A gap exceeding the
-    // level's own failure timeout means every peer has timed us out: the
-    // out-log stamped during the gap is stale and must not be replayed.
-    sim::Time last_received = 0;
     // Rate limit for the re-seed refresh triggered by stale leadership
     // claims (a resumed stale leader heartbeats until it learns better).
     sim::Time last_stale_reseed = 0;
 
-    uint64_t out_seq = 0;
-    std::deque<membership::UpdateRecord> out_log;      // newest at front
-    // Highest seq ever trimmed (popped or cleared) out of the out-log.
-    // Records compacted away as shadowed do NOT raise it: their shadower is
-    // still in the log at a higher seq and covers them. Feeds
-    // UpdateMsg::window_base so receivers can tell a compaction hole (fine)
-    // from trimmed-away history (needs a full-image sync).
-    uint64_t out_log_base = 0;
-    // Per-origin receive cursor, scoped by the origin's incarnation: a
-    // restarted origin starts a fresh stream at seq 0.
-    struct InCursor {
-      membership::Incarnation incarnation = 0;
-      uint64_t seq = 0;
-    };
-    std::unordered_map<membership::NodeId, InCursor> in_seq;
-
-    // One in-flight solicited exchange: the unanswered poll's target, how
-    // many sends it has consumed, and the retry deadline. An `exhausted`
-    // slot has spent its attempt budget; it stays (deduplicating further
-    // triggers) until the escalation path or a pruning event clears it —
-    // never from inside its own timer callback.
-    struct PendingExchange {
-      membership::NodeId target = membership::kInvalidNode;
-      int attempts = 0;
-      bool exhausted = false;
-      std::unique_ptr<sim::OneShotTimer> timer;
-    };
-    std::unique_ptr<PendingExchange> pending_bootstrap;
-    std::map<membership::NodeId, std::unique_ptr<PendingExchange>>
-        pending_syncs;
+    // Outbound sequence, piggyback log, per-origin cursors, deafness guard.
+    UpdateStream stream;
 
     std::unique_ptr<sim::OneShotTimer> listen_timer;
     std::unique_ptr<sim::OneShotTimer> election_timer;
@@ -251,16 +219,23 @@ class HierDaemon : public MembershipDaemon {
   };
 
   // --- level / channel plumbing -----------------------------------------
+  // The administrator's channel for `level`; 0 when it uses the derived one.
+  net::ChannelId admin_channel(int level) const {
+    const auto l = static_cast<size_t>(level);
+    return l < config_.level_channels.size() ? config_.level_channels[l] : 0;
+  }
   net::ChannelId channel_of(int level) const {
-    if (static_cast<size_t>(level) < config_.level_channels.size() &&
-        config_.level_channels[static_cast<size_t>(level)] != 0) {
-      return config_.level_channels[static_cast<size_t>(level)];
-    }
+    const net::ChannelId admin = admin_channel(level);
+    if (admin != 0) return admin;
     return config_.base_channel + static_cast<net::ChannelId>(level);
   }
   uint8_t ttl_of(int level) const { return static_cast<uint8_t>(level + 1); }
   int level_of_channel(net::ChannelId channel) const;
   LevelState& level_state(int level) { return *levels_[level]; }
+  // The level a control message names; out-of-range levels read as 0.
+  int clamp_level(uint8_t level) const {
+    return level < config_.max_ttl ? level : 0;
+  }
 
   void join_level(int level);
   // Leave `level` and everything above; `announce` multicasts a goodbye on
@@ -271,23 +246,29 @@ class HierDaemon : public MembershipDaemon {
   void heartbeat_tick();
   void send_heartbeat(int level);
   void scan_tick();
-  void scan_level(int level);
   // Topology-epoch watch (see HierConfig::topology_poll_interval).
   void topology_poll_tick();
-  void on_topology_change(uint64_t epoch);
   // Drop this level's members whose live ttl_required() no longer fits the
   // level's scope, via the voluntary-leave path (they are alive). Returns
   // how many were dropped.
   size_t drop_out_of_scope(int level);
+  // Voluntary departure of `member` from the level's channel: the node is
+  // alive, just out of earshot here, so no leave record is relayed and no
+  // purge cascades — its entry just becomes second-hand.
+  void forget_member(int level, membership::NodeId member);
   void on_member_dead(int level, membership::NodeId member);
   bool heard_directly(membership::NodeId node) const;
   // Drop entries whose relay chain went through `dead` (paper Timeout
   // protocol: relayed information lives exactly as long as its relay).
-  // `trigger_epoch` is the leadership epoch under which the death was
-  // established; the purge aborts if the level's leadership has since moved
-  // to a newer epoch (the new leader's refresh owns the truth then).
-  void purge_dependents(membership::NodeId dead, int arrival_level,
-                        membership::Epoch trigger_epoch);
+  void purge_dependents(membership::NodeId dead, int arrival_level);
+  // Relayed rows whose provenance runs through `relay`, that we do not hear
+  // ourselves, and that went quiet for longer than `level`'s timeout.
+  std::vector<std::pair<membership::NodeId, membership::Incarnation>>
+  quiet_rows_via(membership::NodeId relay, int level) const;
+  // Removes a dead row and relays its leave from `level`; false when the
+  // table did not hold that life.
+  bool drop_row(membership::NodeId id, membership::Incarnation incarnation,
+                int level);
 
   // --- packet handling ------------------------------------------------------
   void on_data_packet(const net::Packet& packet);
@@ -312,9 +293,14 @@ class HierDaemon : public MembershipDaemon {
   static void raise_fence(LevelState& ls, membership::NodeId node,
                           membership::Epoch epoch,
                           membership::Incarnation incarnation);
-  static bool fenced_stale(const LevelState& ls, membership::NodeId node,
-                           membership::Epoch epoch,
-                           membership::Incarnation incarnation);
+  // True (and counted as a stale_epoch_reject) when `node`'s current life
+  // was superseded on this channel at or below `epoch`.
+  bool reject_stale(const LevelState& ls, membership::NodeId node,
+                    membership::Epoch epoch,
+                    membership::Incarnation incarnation);
+  // Leadership of the level is settled: stop any candidacy and the
+  // election, coordinator-wait and backup-grace deadlines.
+  static void end_election(LevelState& ls);
   // Multicast a COORDINATOR assertion carrying the level's current epoch
   // and the superseded predecessor (prev_leader) when there is one.
   void send_coordinator(int level);
@@ -341,7 +327,6 @@ class HierDaemon : public MembershipDaemon {
   // into every group this node leads, plus upward when it leads the arrival
   // group itself.
   void relay_record(const membership::UpdateRecord& record, int arrival_level);
-  void emit_update(int level, const membership::UpdateRecord& record);
   void emit_batch(int level,
                   const std::vector<membership::UpdateRecord>& batch);
   void send_state_refresh(int level, bool subtree_only = false);
@@ -365,44 +350,39 @@ class HierDaemon : public MembershipDaemon {
   void on_refresh_digest(int level, const membership::RefreshDigestMsg& msg);
   void on_refresh_pull(const membership::RefreshPullMsg& msg);
   void on_refresh_delta(const membership::RefreshDeltaMsg& msg);
-  membership::UpdateRecord make_join_record(const membership::EntryData& entry);
-  membership::UpdateRecord make_leave_record(membership::NodeId subject,
-                                             membership::Incarnation inc);
 
   // --- bootstrap / sync ----------------------------------------------------
-  // Open (or retarget) the level's bootstrap exchange towards `leader`.
-  // No-ops while a poll to the same leader is in flight; a fresh target or
-  // an exhausted slot starts over with a full attempt budget.
+  // Open (or retarget) the level's bootstrap exchange towards `leader`; a
+  // fresh leader claim is also how an exhausted one starts over.
   void request_bootstrap(int level, membership::NodeId leader);
-  void send_bootstrap_request(int level);
-  void bootstrap_retry(int level);
   // Open a sync exchange towards `origin` for this level's stream.
-  // `observed_seq` is the origin's advertised stream position that exposed
-  // the gap; when the exchange's budget is already exhausted it becomes the
-  // anchor: the cursor jumps past the gap and anti-entropy repairs the rest.
+  // `observed_seq` is the origin's advertised stream position (of life
+  // `incarnation`) that exposed the gap; when the exchange's budget is
+  // already exhausted it becomes the anchor: the cursor jumps past the gap
+  // and anti-entropy repairs the rest.
   void request_sync(int level, membership::NodeId origin,
+                    membership::Incarnation incarnation,
                     uint64_t observed_seq);
-  void send_sync_request(int level, membership::NodeId origin);
-  void sync_retry(int level, membership::NodeId origin);
-  // Drop exchange slots aimed at a member that died or left the channel.
-  static void prune_pending(LevelState& ls, membership::NodeId member);
-  // Admission control for O(N) full-image serves: a per-period budget,
-  // refusals answered with BusyMsg naming a deterministic staggered
-  // retry_after (each refusal in a window is pointed one budget-slot
-  // further out, so the backlog drains at budget serves per period).
-  bool admit_image_serve();
-  sim::Duration busy_retry_after();
-  void send_busy(membership::NodeId requester, uint8_t level,
-                 membership::BusyKind kind);
-  void on_busy(const membership::BusyMsg& msg);
-  // Drop the out-log and advance the trim watermark so receivers behind
-  // out_seq are forced onto the full-image path.
-  void clear_out_log(LevelState& ls);
+  // ExchangeSlots' transmitter: one bootstrap or sync poll.
+  void send_poll(int level, membership::BusyKind kind,
+                 membership::NodeId target);
+  // Answers a bootstrap or sync poll with the full view or — once the
+  // period's serve budget is spent — with BusyMsg naming a staggered
+  // retry_after, so a mass join or healed partition cannot turn a leader
+  // into an O(joiners) response burst.
+  template <class Response>
+  void serve_image(membership::NodeId requester, membership::BusyKind kind,
+                   Response& response);
   std::vector<membership::EntryData> full_view() const;
   membership::NodeId provenance_tag(membership::NodeId subject,
                                     membership::NodeId proposed) const;
   void absorb_entries(const std::vector<membership::EntryData>& entries,
                       membership::NodeId relayed_by, int arrival_level);
+  // Applies a second-hand copy of `subject`'s row, notifying an add; true
+  // when the local view changed.
+  bool apply_relayed(membership::NodeId subject,
+                     const membership::EntryData& entry,
+                     membership::NodeId relayed_by);
   void reconcile_with_image(membership::NodeId responder,
                             const std::vector<membership::EntryData>& entries,
                             int arrival_level);
@@ -426,10 +406,7 @@ class HierDaemon : public MembershipDaemon {
     obs::Counter* stale_epoch_rejects = nullptr;
     obs::Counter* epochs_superseded = nullptr;
     obs::Counter* deaf_backlogs_dropped = nullptr;
-    obs::Counter* exchange_retries = nullptr;
-    obs::Counter* exchange_budget_exhausted = nullptr;
     obs::Counter* busy_sent = nullptr;
-    obs::Counter* busy_deferrals = nullptr;
     obs::Counter* out_log_compacted = nullptr;
     // Digest anti-entropy. Sends (digests_sent / digest_pulls_sent /
     // deltas_sent) each have exactly one send site, so the chaos runner's
@@ -449,6 +426,10 @@ class HierDaemon : public MembershipDaemon {
   void resolve_metrics();
   // Structured event record: every call site documents its payload words.
   void trace(obs::TraceKind kind, int level, uint64_t a = 0, uint64_t b = 0);
+  // Sends on the level's channel (TTL-scoped to its group), and to a peer's
+  // control port.
+  void multicast(int level, const membership::Message& msg, size_t pad_to = 0);
+  void unicast(membership::NodeId to, const membership::Message& msg);
 
   HierConfig config_;
   std::vector<std::unique_ptr<LevelState>> levels_;
@@ -461,11 +442,7 @@ class HierDaemon : public MembershipDaemon {
   uint64_t topo_epoch_seen_ = 0;
   Metrics metrics_;
   uint64_t hb_seq_ = 0;
-  // Image-serve admission window (daemon-wide: the expensive part of a
-  // serve is the same full_view() whatever level asked for it).
-  sim::Time serve_window_start_ = 0;
-  size_t serves_window_ = 0;
-  uint64_t deferrals_window_ = 0;
+  ExchangeSlots slots_;
 };
 
 }  // namespace tamp::protocols

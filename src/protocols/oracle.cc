@@ -80,14 +80,16 @@ void MembershipOracle::derive_bounds() {
           std::pow(cfg.level_timeout_factor, static_cast<double>(levels - 1));
       sim::Duration worst_timeout = static_cast<sim::Duration>(
           static_cast<double>(cfg.max_losses * cfg.period) * worst_factor);
-      detection_bound_ = worst_timeout + cfg.scan_interval + cfg.period;
+      detection_bound_ =
+          worst_timeout + HierDaemon::kScanInterval + cfg.period;
       // LEAVE records relay one level per hop; elections may interleave.
-      convergence_bound_ =
-          detection_bound_ + (levels + 2) * cfg.period +
-          cfg.election_timeout + cfg.coordinator_timeout + cfg.backup_grace;
+      convergence_bound_ = detection_bound_ + (levels + 2) * cfg.period +
+                           HierDaemon::kElectionTimeout +
+                           HierDaemon::kCoordinatorTimeout +
+                           HierDaemon::kBackupGrace;
       // Full repair after partitions needs tombstone expiry plus one
       // anti-entropy refresh cycle on top of detection + convergence.
-      quiesce_ = convergence_bound_ + cfg.tombstone_ttl +
+      quiesce_ = convergence_bound_ + HierDaemon::kTombstoneTtl +
                  (cfg.refresh_interval > 0 ? cfg.refresh_interval
                                            : 5 * cfg.period) +
                  3 * cfg.period;

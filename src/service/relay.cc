@@ -12,7 +12,13 @@ ProxyRelay::ProxyRelay(sim::Simulation& sim, net::Network& net,
       net_(net),
       proxy_(proxy),
       consumer_(consumer),
-      config_(config) {
+      config_(config),
+      relayed_out_(net.obs().metrics.counter(obs::Protocol::kProxy,
+                                             "relayed_out", self())),
+      served_for_remote_(net.obs().metrics.counter(
+          obs::Protocol::kProxy, "served_for_remote", self())),
+      rejected_no_remote_(net.obs().metrics.counter(
+          obs::Protocol::kProxy, "rejected_no_remote", self())) {
   // The relay's local consumer must never fall back to the proxy itself,
   // or a stale summary could bounce a request between datacenters forever.
   TAMP_CHECK(!consumer_.config().proxy_fallback);
@@ -84,7 +90,7 @@ void ProxyRelay::on_packet(const net::Packet& packet) {
         net::Address{relay.original.reply_host, relay.original.reply_port};
     net_.send_to_virtual(self(), relay.remote_vip, config_.relay_port,
                          encode_service_message(forwarded));
-    ++stats_.relayed_out;
+    relayed_out_->add();
     return;
   }
 
@@ -104,7 +110,7 @@ void ProxyRelay::handle_local_request(const RequestMsg& request) {
   auto remote_dcs =
       proxy_.lookup_remote(request.service, request.partition);
   if (remote_dcs.empty()) {
-    ++stats_.rejected_no_remote;
+    rejected_no_remote_->add();
     reject(request, ResponseStatus::kUnavailable);
     return;
   }
@@ -112,7 +118,7 @@ void ProxyRelay::handle_local_request(const RequestMsg& request) {
       remote_dcs[sim_.rng().uniform_u64(remote_dcs.size())];
   auto vip = proxy_.config().remote_vips.find(dc);
   if (vip == proxy_.config().remote_vips.end()) {
-    ++stats_.rejected_no_remote;
+    rejected_no_remote_->add();
     reject(request, ResponseStatus::kUnavailable);
     return;
   }
@@ -139,7 +145,7 @@ void ProxyRelay::handle_local_request(const RequestMsg& request) {
 }
 
 void ProxyRelay::handle_remote_request(const RequestMsg& request) {
-  ++stats_.served_for_remote;
+  served_for_remote_->add();
   net::Address reply{request.reply_host, request.reply_port};
   uint64_t id = request.request_id;
   uint32_t response_bytes = request.response_bytes;

@@ -10,10 +10,16 @@
 //
 // A request arriving with relay_hops == 0 must be served locally — stale
 // summaries can never cause requests to ping-pong between datacenters.
+//
+// Counters live in the MetricsRegistry as {obs::Protocol::kProxy, <name>,
+// proxy node}: relayed_out (requests forwarded to a remote DC),
+// served_for_remote (requests executed on behalf of remote DCs) and
+// rejected_no_remote (requests no remote DC could take).
 #pragma once
 
 #include <map>
 
+#include "obs/obs.h"
 #include "proxy/proxy.h"
 #include "service/consumer.h"
 
@@ -22,12 +28,6 @@ namespace tamp::service {
 struct RelayConfig {
   net::Port relay_port = kProxyRelayPort;
   sim::Duration handshake_timeout = 500 * sim::kMillisecond;
-};
-
-struct RelayStats {
-  uint64_t relayed_out = 0;       // requests forwarded to a remote DC
-  uint64_t served_for_remote = 0; // requests executed on behalf of remote DCs
-  uint64_t rejected_no_remote = 0;
 };
 
 class ProxyRelay {
@@ -45,7 +45,6 @@ class ProxyRelay {
   void stop();
 
   net::HostId self() const { return proxy_.self(); }
-  const RelayStats& stats() const { return stats_; }
 
  private:
   struct OutboundRelay {
@@ -69,7 +68,9 @@ class ProxyRelay {
   std::map<uint64_t, OutboundRelay> handshakes_;
   // request id -> reply address of the original requester.
   std::map<uint64_t, net::Address> forwarded_;
-  RelayStats stats_;
+  obs::Counter* relayed_out_;
+  obs::Counter* served_for_remote_;
+  obs::Counter* rejected_no_remote_;
 };
 
 }  // namespace tamp::service

@@ -8,6 +8,7 @@
 #include "proxy/proxy.h"
 #include "service/consumer.h"
 #include "service/messages.h"
+#include "service/multidc.h"
 #include "service/provider.h"
 
 namespace tamp::service {
@@ -379,6 +380,54 @@ TEST_F(ProxyFallbackFixture, RewireHealRestoresDirectPathWithoutRouter) {
   InvokeResult healed = invoke_and_wait(consumer, "svc");
   ASSERT_TRUE(healed.ok());
   EXPECT_FALSE(healed.via_proxy);
+}
+
+// The cross-DC relay accounts in the registry: one relayed request is one
+// relayed_out at a calling-DC proxy and one served_for_remote at a remote-DC
+// proxy; a request no datacenter can serve is one rejected_no_remote.
+TEST(RelayCounters, OneRelayedRequestIsCountedAtBothProxies) {
+  sim::Simulation sim(131);
+  MultiDcHarness harness(sim, default_two_dc_params());
+  ServiceProvider provider(sim, harness.network(),
+                           harness.cluster(1).daemon(2));
+  provider.host_service("west-only", {0});
+  provider.start();
+  harness.start();
+  sim.run_until(20 * sim::kSecond);
+
+  ServiceConsumer consumer(sim, harness.network(),
+                           harness.cluster(0).daemon(1));
+  consumer.start();
+  std::vector<InvokeResult> results;
+  auto record = [&](const InvokeResult& result) { results.push_back(result); };
+  consumer.invoke("west-only", 0, 100, 100, record);
+  sim.run_until(sim.now() + 5 * sim::kSecond);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_TRUE(results[0].via_proxy);
+
+  const obs::MetricsRegistry& m = harness.network().obs().metrics;
+  auto in_dc = [&](size_t dc, std::string_view name) {
+    uint64_t sum = 0;
+    for (int i = 0; i < harness.proxies_per_dc(); ++i) {
+      sum += m.counter_value(obs::Protocol::kProxy, name,
+                             harness.proxy(dc, i).self());
+    }
+    return sum;
+  };
+  EXPECT_EQ(in_dc(0, "relayed_out"), 1u);
+  EXPECT_EQ(in_dc(1, "relayed_out"), 0u);
+  EXPECT_EQ(in_dc(0, "served_for_remote"), 0u);
+  EXPECT_EQ(in_dc(1, "served_for_remote"), 1u);
+  EXPECT_EQ(in_dc(0, "rejected_no_remote") + in_dc(1, "rejected_no_remote"),
+            0u);
+
+  consumer.invoke("nowhere", 0, 100, 100, record);
+  sim.run_until(sim.now() + 5 * sim::kSecond);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_EQ(in_dc(0, "rejected_no_remote"), 1u);
+  EXPECT_EQ(in_dc(0, "relayed_out"), 1u);
 }
 
 }  // namespace
