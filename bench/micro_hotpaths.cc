@@ -19,8 +19,9 @@
 namespace tamp {
 namespace {
 
+// Encoding a held row, as every sender does: the record's cached bytes.
 void BM_EncodeEntry(benchmark::State& state) {
-  auto entry = membership::make_representative_entry(42, 3);
+  membership::EntryRef entry(membership::make_representative_entry(42, 3));
   for (auto _ : state) {
     membership::WireWriter writer;
     membership::encode_entry(writer, entry);
@@ -42,9 +43,40 @@ void BM_DecodeEntry(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeEntry);
 
+// The receive path of a row the simulation already holds: walk the slice,
+// hash it, find the pooled record. No EntryData is built.
+void BM_DecodeEntryInterned(benchmark::State& state) {
+  membership::EntryPool pool;
+  const membership::EntryRef held =
+      pool.intern(membership::make_representative_entry(42, 3));
+  membership::WireWriter writer;
+  membership::encode_entry(writer, held);
+  auto buffer = writer.take();
+  for (auto _ : state) {
+    membership::WireReader reader(buffer);
+    auto decoded = pool.decode(reader);
+    benchmark::DoNotOptimize(decoded.record());
+  }
+}
+BENCHMARK(BM_DecodeEntryInterned);
+
+// digest_row_hash of a row: recomputed (encode + FNV) with arg 0, the
+// record's cached value (what digest rounds read) with arg 1.
+void BM_DigestRowHash(benchmark::State& state) {
+  const membership::EntryRef row(membership::make_representative_entry(42, 3));
+  const bool cached = state.range(0) != 0;
+  for (auto _ : state) {
+    uint64_t hash =
+        cached ? row.digest_hash() : membership::digest_row_hash(*row);
+    benchmark::DoNotOptimize(hash);
+  }
+}
+BENCHMARK(BM_DigestRowHash)->Arg(0)->Arg(1);
+
 void BM_EncodeHeartbeat(benchmark::State& state) {
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(7);
+  heartbeat.entry =
+      membership::EntryRef(membership::make_representative_entry(7));
   heartbeat.is_leader = true;
   for (auto _ : state) {
     auto payload = membership::encode_message(
@@ -54,26 +86,29 @@ void BM_EncodeHeartbeat(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeHeartbeat);
 
+// A daemon's receive path: the row interns into the pool holding it.
 void BM_DecodeHeartbeat(benchmark::State& state) {
+  membership::EntryPool pool;
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(7);
+  heartbeat.entry = pool.intern(membership::make_representative_entry(7));
   auto payload =
       membership::encode_message(membership::Message{heartbeat}, 228);
   for (auto _ : state) {
     auto decoded =
-        membership::decode_message(payload->data(), payload->size());
+        membership::decode_message(payload->data(), payload->size(), &pool);
     benchmark::DoNotOptimize(decoded);
   }
 }
 BENCHMARK(BM_DecodeHeartbeat);
 
 void BM_TableApplyRefresh(benchmark::State& state) {
+  membership::EntryPool pool;
   membership::MembershipTable table;
   const int nodes = static_cast<int>(state.range(0));
-  std::vector<membership::EntryData> entries;
+  std::vector<membership::EntryRef> entries;
   for (int n = 0; n < nodes; ++n) {
-    entries.push_back(membership::make_representative_entry(
-        static_cast<membership::NodeId>(n)));
+    entries.push_back(pool.intern(membership::make_representative_entry(
+        static_cast<membership::NodeId>(n))));
     table.apply(entries.back(), membership::Liveness::kDirect,
                 membership::kInvalidNode, 0);
   }
@@ -200,7 +235,8 @@ void BM_ObsHotpathAddition(benchmark::State& state) {
   obs::Counter* kind_total =
       obs.metrics.counter(obs::Protocol::kNet, "tx_kind_heartbeat");
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(7);
+  heartbeat.entry =
+      membership::EntryRef(membership::make_representative_entry(7));
   auto payload =
       membership::encode_message(membership::Message{heartbeat}, 228);
   for (auto _ : state) {
@@ -230,7 +266,8 @@ void BM_TransportSendUnicast(benchmark::State& state) {
   uint64_t received = 0;
   net.bind(b, 7, [&](const net::Packet&) { ++received; });
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(7);
+  heartbeat.entry =
+      membership::EntryRef(membership::make_representative_entry(7));
   auto payload =
       membership::encode_message(membership::Message{heartbeat}, 228);
   for (auto _ : state) {

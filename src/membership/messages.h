@@ -2,7 +2,9 @@
 //
 // One envelope format (type byte + body) covers all three protocols and the
 // proxy layer; a daemon only ever decodes the types it handles. Encoded
-// sizes are real — they drive the bandwidth evaluation.
+// sizes are real — they drive the bandwidth evaluation. Messages carry rows
+// as EntryRef handles: encoding appends each record's cached bytes, and
+// decoding interns through the receiving simulation's EntryPool.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <variant>
 #include <vector>
 
+#include "membership/codec.h"
 #include "membership/types.h"
 #include "membership/wire.h"
 #include "net/packet.h"
@@ -55,7 +58,7 @@ inline constexpr uint8_t kWireVersionByte = kWireVersionTag | kWireVersion;
 // on the channel the packet was multicast on, its backup designation, and
 // the per-sender heartbeat sequence.
 struct HeartbeatMsg {
-  EntryData entry;
+  EntryRef entry;
   uint8_t level = 0;        // tree level of the channel this was sent on
   bool is_leader = false;   // paper: "special flag in its heartbeat packets"
   bool leaving = false;     // goodbye: sender is leaving this channel (alive)
@@ -84,7 +87,7 @@ struct UpdateRecord {
   // stamped into the origin's stream. A piggybacked leave stamped under a
   // superseded epoch is stale replay and must not purge anyone.
   Epoch epoch = 0;
-  std::optional<EntryData> entry;  // present for joins
+  EntryRef entry;  // present for joins, null for leaves
 };
 
 // Update message: the origin's newest records, newest first. The tail
@@ -116,14 +119,14 @@ struct BootstrapRequestMsg {
   NodeId requester = kInvalidNode;
   uint8_t level = 0;   // channel the requester is bootstrapping on
   Epoch epoch = 0;     // requester's known leadership epoch for that level
-  std::vector<EntryData> known;
+  std::vector<EntryRef> known;
 };
 
 struct BootstrapResponseMsg {
   NodeId responder = kInvalidNode;
   uint8_t level = 0;   // echoed from the request
   Epoch epoch = 0;     // responder's leadership epoch for that level
-  std::vector<EntryData> entries;
+  std::vector<EntryRef> entries;
   // Scopes the requester's stale-image fence to the responder's life: an
   // image from a restarted responder is fresh even if its old life's
   // leadership was superseded.
@@ -149,7 +152,7 @@ struct SyncResponseMsg {
   // Responder's leadership epoch for `level`: a full image from a node with
   // superseded leadership knowledge must not drive reconciliation removals.
   Epoch epoch = 0;
-  std::vector<EntryData> entries;
+  std::vector<EntryRef> entries;
 };
 
 // Admission-control pushback: the responder's full-image serve budget for
@@ -198,7 +201,7 @@ struct CoordinatorMsg {
 // what makes gossip traffic O(n * m) per message — the paper's stated reason
 // it scales poorly inside a datacenter.
 struct GossipRecord {
-  EntryData entry;
+  EntryRef entry;
   uint64_t heartbeat_counter = 0;
 };
 struct GossipMsg {
@@ -226,13 +229,9 @@ inline constexpr size_t kMaxDigestBuckets = 1024;
 // enough to bound a forged length's allocation.
 inline constexpr size_t kMaxDigestSubjects = size_t{1} << 20;
 
-// Content hash of one row's replicated state (subject, incarnation, encoded
-// EntryData), FNV-1a over the wire encoding. Local soft state (liveness,
-// last_heard) is deliberately excluded — digests compare what refresh would
-// have shipped, not local bookkeeping.
-uint64_t digest_row_hash(const EntryData& entry);
-// Bucket assignment: mixes the subject id so consecutive node ids spread
-// across buckets instead of striping.
+// Row content hashes are digest_row_hash (membership/codec.h), cached in
+// every EntryRecord. Bucket assignment: mixes the subject id so consecutive
+// node ids spread across buckets instead of striping.
 size_t digest_bucket_of(NodeId node, size_t bucket_count);
 
 // Multicast digest: replaces the full-view refresh broadcast. `subtree`
@@ -287,7 +286,7 @@ struct RefreshDeltaMsg {
   uint8_t level = 0;
   Epoch epoch = 0;
   bool truncated = false;
-  std::vector<EntryData> entries;
+  std::vector<EntryRef> entries;
   std::vector<NodeId> confirmed;
 };
 
@@ -329,10 +328,14 @@ using Message =
 // as in the paper's measurements (228-byte average).
 net::Payload encode_message(const Message& message, size_t pad_to = 0);
 
-// Decode; nullopt on any malformed input.
-std::optional<Message> decode_message(const uint8_t* data, size_t size);
-inline std::optional<Message> decode_message(const net::Packet& packet) {
-  return decode_message(packet.data(), packet.size());
+// Decode; nullopt on any malformed input. Rows are interned in `pool`
+// (a daemon passes its simulation's); without one each row gets its own
+// unpooled record.
+std::optional<Message> decode_message(const uint8_t* data, size_t size,
+                                      EntryPool* pool = nullptr);
+inline std::optional<Message> decode_message(const net::Packet& packet,
+                                             EntryPool* pool = nullptr) {
+  return decode_message(packet.data(), packet.size(), pool);
 }
 
 // --- wire-kind classification (per-kind transport accounting) -----------

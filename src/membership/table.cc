@@ -58,63 +58,57 @@ bool MembershipTable::tombstoned(NodeId node, Incarnation incarnation,
          incarnation <= it->second.incarnation;
 }
 
-ApplyResult MembershipTable::apply(const EntryData& data, Liveness liveness,
+ApplyResult MembershipTable::apply(const EntryRef& row, Liveness liveness,
                                    NodeId relayed_by, sim::Time now,
                                    bool override_tombstone) {
+  const NodeId node = row->node;
+  const Incarnation incarnation = row->incarnation;
   if (liveness == Liveness::kDirect || override_tombstone) {
     // Hearing the node itself (or a solicited full exchange) is
     // authoritative: clear any tombstone.
-    tombstones_.erase(data.node);
-  } else if (tombstoned(data.node, data.incarnation, now)) {
+    tombstones_.erase(node);
+  } else if (tombstoned(node, incarnation, now)) {
     return ApplyResult::kStale;
   }
 
-  MembershipEntry* existing = find_mutable(data.node);
+  MembershipEntry* existing = find_mutable(node);
   if (existing == nullptr) {
     MembershipEntry entry;
-    entry.data = data;
+    entry.data = row;
     entry.liveness = liveness;
     entry.relayed_by = relayed_by;
     entry.last_heard = now;
     entry.first_seen = now;
-    auto pos = std::lower_bound(overlay_.begin(), overlay_.end(), data.node,
-                                row_before);
-    overlay_.emplace(pos, data.node, std::move(entry));
+    auto pos =
+        std::lower_bound(overlay_.begin(), overlay_.end(), node, row_before);
+    overlay_.emplace(pos, node, std::move(entry));
     return ApplyResult::kAdded;
   }
 
   MembershipEntry& entry = *existing;
-  if (data.incarnation < entry.data.incarnation) return ApplyResult::kStale;
+  if (incarnation < entry.data->incarnation) return ApplyResult::kStale;
 
-  // A direct observation always wins over a relayed one; a relayed record of
-  // the same incarnation must not downgrade a direct entry's liveness.
-  bool upgrade = liveness == Liveness::kDirect;
-  if (!upgrade && entry.liveness == Liveness::kDirect &&
-      data.incarnation == entry.data.incarnation) {
-    // Still refresh content if it differs (e.g. a value update relayed
-    // before the next direct heartbeat), but keep direct liveness.
-    if (entry.data == data) {
-      entry.last_heard = now;
-      return ApplyResult::kRefreshed;
-    }
-    entry.data = data;
-    index_dirty_ = true;
-    entry.last_heard = now;
-    return ApplyResult::kUpdated;
-  }
-
-  // A newer incarnation always differs in `data`, so equality alone tells a
-  // refresh from an update. A refresh leaves `data` untouched: no deep copy,
-  // and the name index stays valid.
+  // A direct observation always wins over a relayed one; a relayed record
+  // of the same incarnation must not downgrade a direct entry's liveness
+  // (its content still refreshes, e.g. a value update relayed before the
+  // next direct heartbeat).
+  const bool keep_direct = liveness != Liveness::kDirect &&
+                           entry.liveness == Liveness::kDirect &&
+                           incarnation == entry.data->incarnation;
+  // A newer incarnation always differs in content, so equality alone tells
+  // a refresh from an update. A refresh keeps the held handle: the name
+  // index stays valid.
   ApplyResult result = ApplyResult::kRefreshed;
-  if (!(entry.data == data)) {
+  if (!(entry.data == row)) {
     result = ApplyResult::kUpdated;
-    entry.data = data;
+    entry.data = row;
     index_dirty_ = true;
   }
-  entry.liveness = liveness;
-  entry.relayed_by = relayed_by;
   entry.last_heard = now;
+  if (!keep_direct) {
+    entry.liveness = liveness;
+    entry.relayed_by = relayed_by;
+  }
   return result;
 }
 
@@ -122,7 +116,7 @@ bool MembershipTable::remove(NodeId node, Incarnation incarnation,
                              sim::Time now) {
   flush();
   auto it = locate(entries_, node);
-  if (it != entries_.end() && it->second.data.incarnation > incarnation) {
+  if (it != entries_.end() && it->second.data->incarnation > incarnation) {
     return false;  // we know a newer life of this node
   }
   Tombstone& tomb = tombstones_[node];
@@ -188,7 +182,7 @@ void MembershipTable::rebuild_index() const {
   // row registers any more are dropped.
   for (auto& [name, hits] : name_index_) hits.clear();
   for (uint32_t row = 0; row < entries_.size(); ++row) {
-    const auto& services = entries_[row].second.data.services;
+    const auto& services = entries_[row].second.data->services;
     for (uint32_t i = 0; i < services.size(); ++i) {
       name_index_[services[i].name].push_back({row, i});
     }
@@ -220,7 +214,7 @@ std::vector<const MembershipEntry*> MembershipTable::lookup(
       const MembershipEntry& entry = entries_[hit.row].second;
       // A row registering the name twice is listed once.
       if (!out.empty() && out.back() == &entry) continue;
-      if (partition_ok(entry.data.services[hit.service])) {
+      if (partition_ok(entry.data->services[hit.service])) {
         out.push_back(&entry);
       }
     }
@@ -234,7 +228,7 @@ std::vector<const MembershipEntry*> MembershipTable::lookup(
     return out;  // malformed pattern matches nothing
   }
   for (const auto& [id, entry] : entries_) {
-    for (const auto& service : entry.data.services) {
+    for (const auto& service : entry.data->services) {
       if (std::regex_match(service.name, pattern) && partition_ok(service)) {
         out.push_back(&entry);
         break;

@@ -8,6 +8,13 @@
 // replayed. Tombstones expire (so a healed network partition can
 // re-introduce nodes whose incarnation never changed), and a direct
 // observation — hearing the node's own heartbeat — always overrides one.
+//
+// Row ownership: a row's replicated content is an immutable shared record
+// (EntryRef, see membership/types.h); the table owns only its handle and
+// the soft state around it (liveness, relayed_by, last_heard, first_seen).
+// An update swaps the handle, a refresh keeps it. Copying a table copies
+// handles, never rows, and a copy stays valid on its own after the original
+// (or the pool the rows came from) is gone.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +56,21 @@ class MembershipTable {
   // always clear a tombstone; a relayed record does so only when
   // `override_tombstone` is set (used for solicited bootstrap exchanges,
   // which are authoritative in a way replayed piggybacked joins are not).
-  ApplyResult apply(const EntryData& data, Liveness liveness,
+  //
+  // A refresh (same content) is told from an update by handle identity, or
+  // for records of different pools by cached hash and bytes — never by a
+  // deep comparison of the EntryData.
+  ApplyResult apply(const EntryRef& row, Liveness liveness,
                     NodeId relayed_by, sim::Time now,
                     bool override_tombstone = false);
+  // Convenience for callers holding a bare EntryData: applies an unpooled
+  // record of it. Protocol code applies interned rows.
+  ApplyResult apply(const EntryData& data, Liveness liveness,
+                    NodeId relayed_by, sim::Time now,
+                    bool override_tombstone = false) {
+    return apply(EntryRef(data), liveness, relayed_by, now,
+                 override_tombstone);
+  }
 
   // Remove if our info about `node` is not newer than `incarnation`.
   // Records a tombstone (valid for tombstone_ttl from `now`) so stale

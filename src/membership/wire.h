@@ -60,9 +60,13 @@ class WireReader {
   uint64_t u64();
   uint64_t varint();
   std::string str();
+  // Consumes a string exactly as str() would, without building it.
+  void skip_str();
 
   bool ok() const { return ok_; }
   size_t remaining() const { return size_ - pos_; }
+  // The next unread byte: with two calls it delimits what was read between.
+  const uint8_t* cursor() const { return data_ + pos_; }
 
  private:
   bool take(size_t n) {
@@ -82,5 +86,7 @@ class WireReader {
 // Map/str helpers shared by codecs.
 void write_string_map(WireWriter& w, const std::map<std::string, std::string>& m);
 std::map<std::string, std::string> read_string_map(WireReader& r);
+// Consumes a map exactly as read_string_map would, without building it.
+void skip_string_map(WireReader& r);
 
 }  // namespace tamp::membership

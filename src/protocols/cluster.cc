@@ -97,8 +97,6 @@ void Cluster::restart(size_t index) {
   TAMP_CHECK(index < daemons_.size());
   net_.set_host_up(hosts_[index], true);
   ++incarnations_[index];
-  auto entry =
-      membership::make_representative_entry(hosts_[index], incarnations_[index]);
   // Fresh daemon instance: a restarted process has no memory of its past.
   daemons_[index] = make_daemon(hosts_[index]);
   daemons_[index]->set_incarnation(incarnations_[index]);

@@ -7,14 +7,17 @@ namespace tamp::protocols {
 MembershipDaemon::MembershipDaemon(sim::Simulation& sim, net::Network& net,
                                    membership::NodeId self,
                                    membership::EntryData own)
-    : sim_(sim), net_(net), self_(self), own_(std::move(own)) {
+    : sim_(sim),
+      net_(net),
+      self_(self),
+      own_(std::move(own)),
+      pool_(sim.scoped<membership::EntryPool>()) {
   own_.node = self_;
 }
 
 void MembershipDaemon::base_start() {
   running_ = true;
-  table_.apply(own_, membership::Liveness::kDirect, membership::kInvalidNode,
-               sim_.now());
+  own_entry_changed();
 }
 
 void MembershipDaemon::base_stop() { running_ = false; }
@@ -25,8 +28,9 @@ void MembershipDaemon::notify(membership::NodeId subject, bool alive) {
 }
 
 void MembershipDaemon::own_entry_changed() {
-  table_.apply(own_, membership::Liveness::kDirect, membership::kInvalidNode,
-               sim_.now());
+  own_row_ = pool_.intern(own_);
+  table_.apply(own_row_, membership::Liveness::kDirect,
+               membership::kInvalidNode, sim_.now());
 }
 
 void MembershipDaemon::register_service(const std::string& name,

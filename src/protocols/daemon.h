@@ -2,8 +2,10 @@
 // hierarchical).
 //
 // A daemon is the per-node actor that maintains the local yellow-page
-// directory. It owns the node's own EntryData (what gets announced), the
-// MembershipTable (what is known about everyone), and exposes a change
+// directory. It owns the node's own EntryData (what gets announced) and its
+// interned row, the MembershipTable (what is known about everyone), and
+// decodes rows through its simulation's EntryPool, so all daemons of one
+// simulation share one record per row. It exposes a change
 // listener so tests and the evaluation harness can record exactly when a
 // node learned of a join or a failure.
 #pragma once
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "membership/codec.h"
 #include "membership/messages.h"
 #include "membership/table.h"
 #include "membership/types.h"
@@ -75,13 +78,18 @@ class MembershipDaemon {
   void base_stop();
 
   void notify(membership::NodeId subject, bool alive);
-  // Re-apply own entry to the table after a local mutation.
+  // Re-intern own entry and re-apply it to the table after a local
+  // mutation.
   void own_entry_changed();
 
   sim::Simulation& sim_;
   net::Network& net_;
   membership::NodeId self_;
   membership::EntryData own_;
+  membership::EntryPool& pool_;  // the simulation's (sim::Simulation::scoped)
+  // pool_.intern(own_), what heartbeats carry; null until the first start()
+  // or own-entry change.
+  membership::EntryRef own_row_;
   membership::MembershipTable table_;
   bool running_ = false;
 

@@ -21,6 +21,7 @@ using membership::DigestRowSummary;
 using membership::ElectionAnswerMsg;
 using membership::ElectionMsg;
 using membership::EntryData;
+using membership::EntryRef;
 using membership::HeartbeatMsg;
 using membership::Incarnation;
 using membership::Liveness;
@@ -37,11 +38,11 @@ using membership::UpdateRecord;
 
 namespace {
 
-UpdateRecord make_join_record(const EntryData& entry) {
+UpdateRecord make_join_record(const EntryRef& entry) {
   UpdateRecord record;
   record.kind = UpdateKind::kJoin;
-  record.subject = entry.node;
-  record.incarnation = entry.incarnation;
+  record.subject = entry->node;
+  record.incarnation = entry->incarnation;
   record.entry = entry;
   return record;
 }
@@ -54,13 +55,13 @@ UpdateRecord make_leave_record(NodeId subject, Incarnation inc) {
   return record;
 }
 
-// Per-bucket XOR of the rows' digest hashes.
+// Per-bucket XOR of the rows' (cached) digest hashes.
 std::vector<uint64_t> bucket_hashes(
     const std::vector<const MembershipEntry*>& rows, size_t bucket_count) {
   std::vector<uint64_t> buckets(bucket_count, 0);
   for (const MembershipEntry* row : rows) {
-    buckets[membership::digest_bucket_of(row->data.node, bucket_count)] ^=
-        membership::digest_row_hash(row->data);
+    buckets[membership::digest_bucket_of(row->data->node, bucket_count)] ^=
+        row->data.digest_hash();
   }
   return buckets;
 }
@@ -240,7 +241,7 @@ void HierDaemon::leave_levels_from(int level, bool announce) {
       // Graceful goodbye: we are alive, just leaving this channel — peers
       // must not mistake our silence here for a node failure.
       HeartbeatMsg goodbye;
-      goodbye.entry = own_;
+      goodbye.entry = own_row_;
       goodbye.level = static_cast<uint8_t>(l);
       goodbye.is_leader = false;
       goodbye.leaving = true;
@@ -347,7 +348,7 @@ void HierDaemon::heartbeat_tick() {
         orphan_timeout, 2 * refresh + level_timeout(config_.max_ttl - 1));
   }
   auto expired = table_.expire(now, [&](const membership::MembershipEntry& e) {
-    if (e.data.node == self_ || e.liveness != Liveness::kRelayed) {
+    if (e.data->node == self_ || e.liveness != Liveness::kRelayed) {
       return sim::Duration{-1};
     }
     return orphan_timeout;
@@ -358,7 +359,7 @@ void HierDaemon::heartbeat_tick() {
 void HierDaemon::send_heartbeat(int level) {
   LevelState& ls = level_state(level);
   HeartbeatMsg heartbeat;
-  heartbeat.entry = own_;
+  heartbeat.entry = own_row_;
   heartbeat.level = static_cast<uint8_t>(level);
   heartbeat.is_leader = ls.i_am_leader;
   heartbeat.backup = ls.my_backup;
@@ -448,7 +449,7 @@ void HierDaemon::on_member_dead(int level, NodeId member) {
   // succession fence must name the life that was lost, not a later restart.
   const auto* lost_entry = table_.find(member);
   const Incarnation lost_incarnation =
-      lost_entry ? lost_entry->data.incarnation : 0;
+      lost_entry ? lost_entry->data->incarnation : 0;
   ls.members.erase(it);
   slots_.prune(level, member);
 
@@ -502,7 +503,7 @@ std::vector<std::pair<NodeId, Incarnation>> HierDaemon::quiet_rows_via(
     if (entry.liveness == Liveness::kRelayed && entry.relayed_by == relay &&
         id != self_ && !heard_directly(id) &&
         sim_.now() - entry.last_heard > horizon) {
-      rows.emplace_back(id, entry.data.incarnation);
+      rows.emplace_back(id, entry.data->incarnation);
     }
   }
   return rows;
@@ -520,7 +521,7 @@ bool HierDaemon::drop_row(NodeId id, Incarnation incarnation, int level) {
 void HierDaemon::on_data_packet(const net::Packet& packet) {
   int level = level_of_channel(packet.channel);
   if (level < 0 || !levels_[level]->joined) return;
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, &pool_);
   if (!message) return;
   // Resurfacing check: after a long enough deafness the backlog is dropped
   // rather than replayed through the piggyback.
@@ -544,7 +545,7 @@ void HierDaemon::on_data_packet(const net::Packet& packet) {
 }
 
 void HierDaemon::on_control_packet(const net::Packet& packet) {
-  auto message = decode_message(packet);
+  auto message = decode_message(packet, &pool_);
   if (!message) return;
   std::visit(
       [&](auto&& msg) {
@@ -621,7 +622,7 @@ void HierDaemon::on_control_packet(const net::Packet& packet) {
 
 void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   LevelState& ls = level_state(level);
-  const NodeId sender = msg.entry.node;
+  const NodeId sender = msg.entry->node;
   if (sender == self_) return;
   const sim::Time now = sim_.now();
 
@@ -642,7 +643,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // (leader flag / COORDINATOR), never second-hand member gossip.
   const bool stale_claim =
       msg.is_leader &&
-      reject_stale(ls, sender, msg.epoch, msg.entry.incarnation);
+      reject_stale(ls, sender, msg.epoch, msg.entry->incarnation);
   if (msg.is_leader && !stale_claim) {
     if (msg.epoch > ls.epoch) adopt_epoch(level, msg.epoch, sender);
   } else if (!msg.is_leader && !ls.i_am_leader && msg.epoch > ls.epoch) {
@@ -667,8 +668,8 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
   // contact just anchors; the bootstrap exchange supplies the content. The
   // cursor only advances when the recovery actually lands (update or sync
   // response): a lost poll is retried by the exchange's own timer.
-  if (ls.stream.lags(sender, msg.entry.incarnation, msg.seq)) {
-    request_sync(level, sender, msg.entry.incarnation, msg.seq);
+  if (ls.stream.lags(sender, msg.entry->incarnation, msg.seq)) {
+    request_sync(level, sender, msg.entry->incarnation, msg.seq);
   }
 
   if (msg.is_leader && !stale_claim) {
@@ -707,7 +708,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
     // repel it — assert the current epoch and re-seed the claimant's view
     // so it abdicates and recovers without operator action.
     if (stale_claim && ls.i_am_leader) {
-      repel_stale_claim(level, sender, msg.epoch, msg.entry.incarnation);
+      repel_stale_claim(level, sender, msg.epoch, msg.entry->incarnation);
     }
     // Stale, or it stepped down: either way the sender does not lead.
     if (ls.leader == sender) ls.leader = membership::kInvalidNode;
@@ -1048,7 +1049,7 @@ bool HierDaemon::process_record(const UpdateRecord& record, NodeId relayed_by,
 
   if (record.kind == UpdateKind::kJoin) {
     if (!record.entry) return false;
-    const bool fresh = apply_relayed(record.subject, *record.entry, relayed_by);
+    const bool fresh = apply_relayed(record.subject, record.entry, relayed_by);
     if (fresh) relay_record(record, arrival_level);
     return fresh;
   }
@@ -1161,7 +1162,7 @@ void HierDaemon::send_refresh_digest(int level, bool subtree) {
   // delta-varint scope coding wants.
   if (subtree) {
     for (const MembershipEntry* row : rows) {
-      msg.subjects.push_back(row->data.node);
+      msg.subjects.push_back(row->data->node);
     }
   }
   multicast(level, msg);
@@ -1220,11 +1221,11 @@ void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   // in the pull.
   const sim::Time now = sim_.now();
   for (const MembershipEntry* row : rows) {
-    const NodeId id = row->data.node;
+    const NodeId id = row->data->node;
     const size_t b = membership::digest_bucket_of(id, bucket_count);
     if (buckets[b] != msg.buckets[b]) {
-      pull.rows.push_back(DigestRowSummary{
-          id, row->data.incarnation, membership::digest_row_hash(row->data)});
+      pull.rows.push_back(
+          DigestRowSummary{id, row->data->incarnation, row->data.digest_hash()});
     } else if (id != self_ && row->liveness == Liveness::kRelayed) {
       table_.reconfirm_relay(id, msg.origin, now);
     }
@@ -1266,13 +1267,11 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
                          ? static_cast<size_t>(config_.digest_max_rows_per_delta)
                          : table_.size();
   for (const MembershipEntry* row : refresh_scope(level, msg.subtree)) {
-    if (!wanted[membership::digest_bucket_of(row->data.node, bucket_count)]) {
-      continue;
-    }
-    auto it = theirs.find(row->data.node);
-    if (it != theirs.end() &&
-        it->second->row_hash == membership::digest_row_hash(row->data)) {
-      delta.confirmed.push_back(row->data.node);
+    const NodeId id = row->data->node;
+    if (!wanted[membership::digest_bucket_of(id, bucket_count)]) continue;
+    auto it = theirs.find(id);
+    if (it != theirs.end() && it->second->row_hash == row->data.digest_hash()) {
+      delta.confirmed.push_back(id);
       continue;
     }
     if (delta.entries.size() >= cap) {
@@ -1388,8 +1387,8 @@ void HierDaemon::serve_image(NodeId requester, BusyKind kind,
   unicast(requester, response);
 }
 
-std::vector<EntryData> HierDaemon::full_view() const {
-  std::vector<EntryData> entries;
+std::vector<EntryRef> HierDaemon::full_view() const {
+  std::vector<EntryRef> entries;
   entries.reserve(table_.size());
   for (const auto& [id, entry] : table_.entries()) entries.push_back(entry.data);
   return entries;
@@ -1415,10 +1414,10 @@ NodeId HierDaemon::provenance_tag(NodeId subject, NodeId proposed) const {
 // the responder — removing what it no longer lists (a lost LEAVE shows up
 // as an absence in the relay's image).
 void HierDaemon::reconcile_with_image(NodeId responder,
-                                      const std::vector<EntryData>& entries,
+                                      const std::vector<EntryRef>& entries,
                                       int arrival_level) {
   std::set<NodeId> present;
-  for (const auto& entry : entries) present.insert(entry.node);
+  for (const auto& entry : entries) present.insert(entry->node);
   // Only entries the responder has *stopped* announcing count as stale; a
   // recently-applied entry may simply be younger than the image
   // (formation-time races), so leave it to the normal lifecycle.
@@ -1430,11 +1429,11 @@ void HierDaemon::reconcile_with_image(NodeId responder,
   }
 }
 
-void HierDaemon::absorb_entries(const std::vector<EntryData>& entries,
+void HierDaemon::absorb_entries(const std::vector<EntryRef>& entries,
                                 NodeId relayed_by, int arrival_level) {
   for (const auto& entry : entries) {
-    if (entry.node == self_) continue;
-    if (apply_relayed(entry.node, entry, relayed_by)) {
+    if (entry->node == self_) continue;
+    if (apply_relayed(entry->node, entry, relayed_by)) {
       relay_record(make_join_record(entry), arrival_level);
     }
   }
@@ -1445,7 +1444,7 @@ void HierDaemon::absorb_entries(const std::vector<EntryData>& entries,
 // overriding would flap the view. A healed partition's mutual tombstones
 // simply expire, after which the periodic anti-entropy refresh re-merges the
 // sides.
-bool HierDaemon::apply_relayed(NodeId subject, const EntryData& entry,
+bool HierDaemon::apply_relayed(NodeId subject, const EntryRef& entry,
                                NodeId relayed_by) {
   const ApplyResult result =
       table_.apply(entry, Liveness::kRelayed,

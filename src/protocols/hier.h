@@ -373,18 +373,18 @@ class HierDaemon : public MembershipDaemon {
   template <class Response>
   void serve_image(membership::NodeId requester, membership::BusyKind kind,
                    Response& response);
-  std::vector<membership::EntryData> full_view() const;
+  std::vector<membership::EntryRef> full_view() const;
   membership::NodeId provenance_tag(membership::NodeId subject,
                                     membership::NodeId proposed) const;
-  void absorb_entries(const std::vector<membership::EntryData>& entries,
+  void absorb_entries(const std::vector<membership::EntryRef>& entries,
                       membership::NodeId relayed_by, int arrival_level);
   // Applies a second-hand copy of `subject`'s row, notifying an add; true
   // when the local view changed.
   bool apply_relayed(membership::NodeId subject,
-                     const membership::EntryData& entry,
+                     const membership::EntryRef& entry,
                      membership::NodeId relayed_by);
   void reconcile_with_image(membership::NodeId responder,
-                            const std::vector<membership::EntryData>& entries,
+                            const std::vector<membership::EntryRef>& entries,
                             int arrival_level);
   void refresh_tick();
 

@@ -89,7 +89,7 @@ void ProxyDaemon::evaluate_leadership() {
   auto proxies = membership_.table().lookup(kProxyServiceName, "*");
   membership::NodeId lowest = membership::kInvalidNode;
   for (const auto* entry : proxies) {
-    lowest = std::min(lowest, entry->data.node);
+    lowest = std::min(lowest, entry->data->node);
   }
   const bool should_lead = lowest == self();
   if (should_lead && !is_leader_) {
@@ -116,7 +116,7 @@ void ProxyDaemon::evaluate_leadership() {
 ServiceSummary ProxyDaemon::build_summary() const {
   ServiceSummary summary;
   for (const auto& [id, entry] : membership_.table().entries()) {
-    for (const auto& service : entry.data.services) {
+    for (const auto& service : entry.data->services) {
       if (service.name == kProxyServiceName) continue;
       auto& slot = summary.availability[service.name];
       for (int partition : service.partitions) {

@@ -9,6 +9,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -54,12 +57,29 @@ class Simulation {
     trace_hook_ = std::move(hook);
   }
 
+  // One T per simulation, default-constructed on first use and destroyed
+  // with the Simulation: state a higher layer scopes to one run (the
+  // membership layer's EntryPool). Whatever runs the simulation owns it, so
+  // two simulations on two threads never share one.
+  template <typename T>
+  T& scoped() {
+    static const char key = 0;  // one address per T
+    for (const auto& [slot_key, object] : scoped_) {
+      if (slot_key == &key) return *static_cast<T*>(object.get());
+    }
+    auto object = std::make_shared<T>();
+    T& ref = *object;
+    scoped_.emplace_back(&key, std::move(object));
+    return ref;
+  }
+
  private:
   Time now_ = 0;
   EventQueue queue_;
   util::Rng rng_;
   uint64_t events_executed_ = 0;
   std::function<void(Time, EventId)> trace_hook_;
+  std::vector<std::pair<const void*, std::shared_ptr<void>>> scoped_;
 };
 
 }  // namespace tamp::sim

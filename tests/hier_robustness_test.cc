@@ -260,7 +260,7 @@ TEST_F(RobustnessFixture, RestartedLeaderStreamsAreAccepted) {
   const auto* entry =
       cluster->daemon_for(layout.racks[1][2])->table().find(old_leader);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->data.incarnation, 2u);
+  EXPECT_EQ(entry->data->incarnation, 2u);
 }
 
 // With anti-entropy refresh disabled, a membership change whose update

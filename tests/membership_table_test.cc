@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <optional>
 #include <regex>
 #include <string>
@@ -84,7 +85,7 @@ TEST(Table, NewerIncarnationUpdates) {
   table.apply(entry(1, 1), Liveness::kDirect, kInvalidNode, 0);
   EXPECT_EQ(table.apply(entry(1, 2), Liveness::kDirect, kInvalidNode, 1),
             ApplyResult::kUpdated);
-  EXPECT_EQ(table.find(1)->data.incarnation, 2u);
+  EXPECT_EQ(table.find(1)->data->incarnation, 2u);
 }
 
 TEST(Table, OlderIncarnationIsStale) {
@@ -92,7 +93,7 @@ TEST(Table, OlderIncarnationIsStale) {
   table.apply(entry(1, 5), Liveness::kDirect, kInvalidNode, 0);
   EXPECT_EQ(table.apply(entry(1, 4), Liveness::kDirect, kInvalidNode, 1),
             ApplyResult::kStale);
-  EXPECT_EQ(table.find(1)->data.incarnation, 5u);
+  EXPECT_EQ(table.find(1)->data->incarnation, 5u);
 }
 
 TEST(Table, RelayedDoesNotDowngradeDirect) {
@@ -105,7 +106,7 @@ TEST(Table, RelayedDoesNotDowngradeDirect) {
   updated.values["hostname"] = "renamed";
   EXPECT_EQ(table.apply(updated, Liveness::kRelayed, 9, 2),
             ApplyResult::kUpdated);
-  EXPECT_EQ(table.find(1)->data.values.at("hostname"), "renamed");
+  EXPECT_EQ(table.find(1)->data->values.at("hostname"), "renamed");
   EXPECT_EQ(table.find(1)->liveness, Liveness::kDirect);
 }
 
@@ -160,7 +161,7 @@ TEST(Table, ExpirePolicy) {
   table.apply(entry(1), Liveness::kDirect, kInvalidNode, 0);
   table.apply(entry(2), Liveness::kDirect, kInvalidNode, 50);
   auto expired = table.expire(101, [](const MembershipEntry& e) {
-    return e.data.node == 1 ? sim::Duration{100} : sim::Duration{-1};
+    return e.data->node == 1 ? sim::Duration{100} : sim::Duration{-1};
   });
   EXPECT_EQ(expired, (std::vector<NodeId>{1}));
   EXPECT_FALSE(table.contains(1));
@@ -246,7 +247,7 @@ std::vector<const MembershipEntry*> reference_lookup(
   auto wanted = util::expand_partition_spec(partition_spec);
   for (const auto& [id, row] : table.entries()) {
     bool hit = false;
-    for (const auto& service : row.data.services) {
+    for (const auto& service : row.data->services) {
       if (!std::regex_match(service.name, pattern)) continue;
       bool partition_ok = !wanted;  // "*": any partition set, even none
       for (int p : service.partitions) {
@@ -369,6 +370,256 @@ TEST(Table, LookupMatchesRegexScanUnderChurn) {
       }
     }
   }
+}
+
+
+std::vector<uint8_t> encoded(const EntryData& data) {
+  WireWriter w;
+  encode_entry(w, data);
+  return w.take();
+}
+
+std::vector<NodeId> ids_of(const std::vector<const MembershipEntry*>& rows) {
+  std::vector<NodeId> ids;
+  for (const MembershipEntry* row : rows) ids.push_back(row->data->node);
+  return ids;
+}
+
+void expect_same_entry(const MembershipEntry* got, const MembershipEntry* want) {
+  ASSERT_EQ(got == nullptr, want == nullptr);
+  if (got == nullptr) return;
+  EXPECT_EQ(*got->data, *want->data);
+  EXPECT_EQ(got->liveness, want->liveness);
+  EXPECT_EQ(got->relayed_by, want->relayed_by);
+  EXPECT_EQ(got->last_heard, want->last_heard);
+  EXPECT_EQ(got->first_seen, want->first_seen);
+}
+
+// Interning is invisible: a table fed pooled records (one shared record per
+// distinct row, refreshes compared by handle) behaves exactly like one fed
+// a fresh deep copy of every row it is offered.
+TEST(Table, InternedRowsAreValueTransparent) {
+  const std::vector<std::string> patterns = {"index", "doc", "missing",
+                                             "ind.*", "(unclosed"};
+  const std::vector<std::string> specs = {"*", "2", "0,2"};
+  constexpr NodeId kNodes = 12;
+  constexpr NodeId kRelays[] = {100, 101, 102};
+
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    EntryPool pool;
+    MembershipTable interned(5);
+    MembershipTable reference(5);
+    std::map<NodeId, EntryData> latest;
+    sim::Time now = 0;
+
+    // Both tables see the same wire bytes: one through the pool, one as a
+    // freshly decoded unpooled copy.
+    auto apply_both = [&](const EntryData& data, Liveness liveness,
+                          NodeId relay, bool override_tombstone) {
+      const std::vector<uint8_t> bytes = encoded(data);
+      WireReader pooled_reader(bytes);
+      EntryRef pooled = pool.decode(pooled_reader);
+      ASSERT_TRUE(pooled);
+      WireReader copy_reader(bytes);
+      std::optional<EntryData> copy = decode_entry(copy_reader);
+      ASSERT_TRUE(copy.has_value());
+      EXPECT_EQ(interned.apply(pooled, liveness, relay, now,
+                               override_tombstone),
+                reference.apply(*copy, liveness, relay, now,
+                                override_tombstone));
+    };
+
+    for (int step = 0; step < 400; ++step) {
+      now += static_cast<sim::Time>(rng.uniform_int(0, 3));
+      const NodeId node = static_cast<NodeId>(rng.uniform_u64(kNodes));
+      const NodeId relay = kRelays[rng.uniform_u64(3)];
+      const Liveness liveness =
+          rng.bernoulli(0.5) ? Liveness::kDirect : Liveness::kRelayed;
+      EntryData& data = latest[node];
+      data.node = node;
+      switch (rng.uniform_u64(12)) {
+        case 0:  // new incarnation, maybe new services
+          ++data.incarnation;
+          if (rng.bernoulli(0.5)) data.services = random_services(rng);
+          [[fallthrough]];
+        case 1:
+        case 2:  // unchanged data: a refresh (or an add)
+          apply_both(data, liveness, relay, rng.bernoulli(0.2));
+          break;
+        case 3:  // same incarnation, changed value
+          data.values["load"] = std::to_string(rng.uniform_u64(4));
+          apply_both(data, liveness, relay, false);
+          break;
+        case 4: {  // a stale incarnation
+          EntryData stale = data;
+          if (stale.incarnation > 0) --stale.incarnation;
+          stale.services = random_services(rng);
+          apply_both(stale, liveness, relay, false);
+          break;
+        }
+        case 5:
+          EXPECT_EQ(interned.remove(node, data.incarnation, now),
+                    reference.remove(node, data.incarnation, now));
+          break;
+        case 6:
+          interned.touch(node, now);
+          reference.touch(node, now);
+          break;
+        case 7:
+          interned.reconfirm_relay(node, relay, now);
+          reference.reconfirm_relay(node, relay, now);
+          break;
+        case 8:
+          interned.demote_to_relayed(node, relay);
+          reference.demote_to_relayed(node, relay);
+          break;
+        case 9: {
+          auto timeout = [](const MembershipEntry& e) -> sim::Duration {
+            return e.liveness == Liveness::kRelayed ? 6 : 12;
+          };
+          EXPECT_EQ(interned.expire(now, timeout),
+                    reference.expire(now, timeout));
+          break;
+        }
+        case 10:
+          EXPECT_EQ(interned.purge_relayed_by(relay),
+                    reference.purge_relayed_by(relay));
+          break;
+        case 11:
+          if (rng.bernoulli(0.1)) {
+            interned.clear();
+            reference.clear();
+          }
+          break;
+      }
+
+      for (const auto& pattern : patterns) {
+        for (const auto& spec : specs) {
+          ASSERT_EQ(ids_of(interned.lookup(pattern, spec)),
+                    ids_of(reference.lookup(pattern, spec)))
+              << "step " << step << " pattern '" << pattern << "'";
+        }
+      }
+      for (NodeId id = 0; id < kNodes; ++id) {
+        expect_same_entry(interned.find(id), reference.find(id));
+      }
+      const auto& got = interned.entries();
+      const auto& want = reference.entries();
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].first, want[i].first);
+        expect_same_entry(&got[i].second, &want[i].second);
+      }
+    }
+  }
+}
+
+TEST(EntryPool, EqualRowsShareOneRecordAndChangesGetNewOnes) {
+  EntryPool pool;
+  const EntryData base = entry(3, 1);
+  const std::vector<uint8_t> bytes = encoded(base);
+  WireReader first_reader(bytes);
+  EntryRef first = pool.decode(first_reader);
+  WireReader second_reader(bytes);
+  EntryRef second = pool.decode(second_reader);
+  ASSERT_TRUE(first);
+  EXPECT_EQ(first.record(), second.record());
+  EXPECT_EQ(pool.intern(base).record(), first.record());
+  EXPECT_EQ(pool.live_records(), 1u);
+
+  EntryData next_life = base;
+  ++next_life.incarnation;
+  EntryData changed = base;
+  changed.values["load"] = "0.7";
+  EntryRef next_ref = pool.intern(next_life);
+  EntryRef changed_ref = pool.intern(changed);
+  EXPECT_NE(next_ref.record(), first.record());
+  EXPECT_NE(changed_ref.record(), first.record());
+  EXPECT_NE(changed_ref.record(), next_ref.record());
+  EXPECT_EQ(pool.live_records(), 3u);
+
+  // Records hold their row's cached encoding and digest hash.
+  for (const EntryRef* ref : {&first, &next_ref, &changed_ref}) {
+    EXPECT_EQ(ref->bytes(), encoded(**ref));
+    EXPECT_EQ(ref->digest_hash(), digest_row_hash(**ref));
+  }
+
+  // The last handle to a record returns it.
+  next_ref = EntryRef();
+  EXPECT_EQ(pool.live_records(), 2u);
+  first = EntryRef();
+  EXPECT_EQ(pool.live_records(), 2u);  // `second` still holds it
+  second = EntryRef();
+  changed_ref = EntryRef();
+  EXPECT_EQ(pool.live_records(), 0u);
+  EXPECT_EQ(pool.live_bytes(), 0u);
+}
+
+// A non-canonical encoding (a repeated map key) decodes to the same row as
+// the canonical one, so it must intern to the same record.
+TEST(EntryPool, NonCanonicalBytesInternToTheCanonicalRecord) {
+  EntryData data = entry(4, 2);
+  data.values = {{"k", "v"}};
+  EntryPool pool;
+  EntryRef canonical = pool.intern(data);
+
+  WireWriter w;
+  w.u32(data.node);
+  w.u64(data.incarnation);
+  w.u16(data.machine.cpus);
+  w.u32(data.machine.memory_mb);
+  w.str(data.machine.os);
+  w.varint(data.services.size());
+  for (const auto& service : data.services) {
+    w.str(service.name);
+    w.varint(service.partitions.size());
+    for (int partition : service.partitions) {
+      w.varint(static_cast<uint64_t>(partition));
+    }
+    write_string_map(w, service.params);
+  }
+  w.varint(2);  // "k" twice: decode_entry keeps the first
+  w.str("k");
+  w.str("v");
+  w.str("k");
+  w.str("other");
+  const std::vector<uint8_t> bytes = w.take();
+
+  WireReader reader(bytes);
+  EntryRef decoded = pool.decode(reader);
+  ASSERT_TRUE(decoded);
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_EQ(decoded.record(), canonical.record());
+  EXPECT_EQ(decoded.bytes(), encoded(data));
+  EXPECT_EQ(pool.live_records(), 1u);
+}
+
+TEST(EntryPool, CopiedTableOutlivesOriginalAndPool) {
+  MembershipTable copy;
+  {
+    auto pool = std::make_unique<EntryPool>();
+    MembershipTable original;
+    for (NodeId n = 0; n < 6; ++n) {
+      original.apply(pool->intern(entry(n, 2)), Liveness::kDirect,
+                     kInvalidNode, 10);
+    }
+    copy = original;
+    EXPECT_EQ(copy.find(3)->data.record(), original.find(3)->data.record());
+    // The pool goes first, then the original table.
+    pool.reset();
+  }
+  ASSERT_EQ(copy.size(), 6u);
+  EXPECT_EQ(copy.find(3)->data->incarnation, 2u);
+  EXPECT_EQ(copy.find(3)->data.digest_hash(), digest_row_hash(entry(3, 2)));
+  EXPECT_EQ(copy.lookup("retriever", "*").size(), 6u);
+  // An equal row from elsewhere refreshes; a changed one updates.
+  EXPECT_EQ(copy.apply(entry(3, 2), Liveness::kDirect, kInvalidNode, 20),
+            ApplyResult::kRefreshed);
+  EXPECT_EQ(copy.apply(entry(3, 3), Liveness::kDirect, kInvalidNode, 30),
+            ApplyResult::kUpdated);
+  EXPECT_EQ(copy.find(3)->last_heard, 30);
 }
 
 }  // namespace

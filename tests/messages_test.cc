@@ -6,6 +6,11 @@
 namespace tamp::membership {
 namespace {
 
+// Messages carry rows as shared records.
+EntryRef row(NodeId node, Incarnation incarnation = 1) {
+  return EntryRef(make_representative_entry(node, incarnation));
+}
+
 template <typename T>
 T round_trip(const T& msg, size_t pad = 0) {
   auto payload = encode_message(Message{msg}, pad);
@@ -18,7 +23,7 @@ T round_trip(const T& msg, size_t pad = 0) {
 
 TEST(Messages, HeartbeatRoundTrip) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(12, 4);
+  msg.entry = row(12, 4);
   msg.level = 2;
   msg.is_leader = true;
   msg.backup = 99;
@@ -35,7 +40,7 @@ TEST(Messages, HeartbeatRoundTrip) {
 
 TEST(Messages, HeartbeatPadding) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = row(1);
   auto payload = encode_message(Message{msg}, 512);
   EXPECT_EQ(payload->size(), 512u);
   auto decoded = decode_message(payload->data(), payload->size());
@@ -53,7 +58,7 @@ TEST(Messages, UpdateRoundTrip) {
   join.kind = UpdateKind::kJoin;
   join.subject = 7;
   join.incarnation = 2;
-  join.entry = make_representative_entry(7, 2);
+  join.entry = row(7, 2);
   UpdateRecord leave;
   leave.seq = 11;
   leave.kind = UpdateKind::kLeave;
@@ -68,10 +73,10 @@ TEST(Messages, UpdateRoundTrip) {
   EXPECT_EQ(out.epoch, 5u);
   EXPECT_EQ(out.window_base, 9u);
   EXPECT_EQ(out.records[0].kind, UpdateKind::kJoin);
-  ASSERT_TRUE(out.records[0].entry.has_value());
+  ASSERT_TRUE(out.records[0].entry);
   EXPECT_EQ(*out.records[0].entry, *join.entry);
   EXPECT_EQ(out.records[1].kind, UpdateKind::kLeave);
-  EXPECT_FALSE(out.records[1].entry.has_value());
+  EXPECT_FALSE(out.records[1].entry);
   EXPECT_EQ(out.records[1].seq, 11u);
   EXPECT_EQ(out.records[1].epoch, 4u);
 }
@@ -80,7 +85,7 @@ TEST(Messages, BootstrapRoundTrip) {
   BootstrapRequestMsg request;
   request.requester = 5;
   request.epoch = 3;
-  request.known = {make_representative_entry(5), make_representative_entry(6)};
+  request.known = {row(5), row(6)};
   auto req_out = round_trip(request);
   EXPECT_EQ(req_out.requester, 5u);
   EXPECT_EQ(req_out.epoch, 3u);
@@ -91,7 +96,7 @@ TEST(Messages, BootstrapRoundTrip) {
   response.responder_incarnation = 4;
   response.epoch = 9;
   for (NodeId n = 0; n < 20; ++n) {
-    response.entries.push_back(make_representative_entry(n));
+    response.entries.push_back(row(n));
   }
   auto resp_out = round_trip(response);
   EXPECT_EQ(resp_out.responder_incarnation, 4u);
@@ -113,7 +118,7 @@ TEST(Messages, SyncRoundTrip) {
   response.level = 2;
   response.stream_seq = 1010;
   response.epoch = 8;
-  response.entries = {make_representative_entry(3)};
+  response.entries = {row(3)};
   auto resp_out = round_trip(response);
   EXPECT_EQ(resp_out.stream_seq, 1010u);
   EXPECT_EQ(resp_out.epoch, 8u);
@@ -172,7 +177,7 @@ TEST(Messages, BusyRoundTrip) {
 
 TEST(Messages, VersionByteGatesDecoding) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = row(1);
   auto payload = encode_message(Message{msg});
   ASSERT_FALSE(payload->empty());
   // Every frame leads with the tagged version byte.
@@ -192,7 +197,7 @@ TEST(Messages, EpochlessV1FramesRejectedNeverMisparsed) {
   // 0xA0 is disjoint from that range, so every old frame fails the gate
   // cleanly instead of decoding with garbage epochs.
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = row(1);
   auto payload = encode_message(Message{msg});
   for (uint8_t type = 0; type <= 12; ++type) {
     std::vector<uint8_t> v1(payload->begin() + 1, payload->end());
@@ -204,12 +209,12 @@ TEST(Messages, EpochlessV1FramesRejectedNeverMisparsed) {
 TEST(Messages, GossipRoundTripAndSizeScalesWithView) {
   GossipMsg small;
   small.sender = 1;
-  small.records.push_back({make_representative_entry(1), 10});
+  small.records.push_back({row(1), 10});
   auto small_payload = encode_message(Message{small});
 
   GossipMsg big = small;
   for (NodeId n = 2; n <= 50; ++n) {
-    big.records.push_back({make_representative_entry(n), 5});
+    big.records.push_back({row(n), 5});
   }
   auto big_payload = encode_message(Message{big});
 
@@ -254,7 +259,7 @@ TEST(Messages, ProxySummaryMuchSmallerThanFullEntries) {
   BootstrapResponseMsg full;
   full.responder = 0;
   for (NodeId n = 0; n < 100; ++n) {
-    full.entries.push_back(make_representative_entry(n));
+    full.entries.push_back(row(n));
   }
   auto full_payload = encode_message(Message{full});
   EXPECT_LT(summary_payload->size() * 50, full_payload->size());
@@ -350,8 +355,8 @@ TEST(Messages, RefreshDeltaRoundTrip) {
   msg.level = 1;
   msg.epoch = 11;
   msg.truncated = true;
-  msg.entries = {make_representative_entry(30, 1),
-                 make_representative_entry(31, 2)};
+  msg.entries = {row(30, 1),
+                 row(31, 2)};
   msg.confirmed = {24, 25, 39};
   auto out = round_trip(msg);
   EXPECT_EQ(out.responder, 23u);
@@ -400,7 +405,7 @@ TEST(Messages, MalformedInputsRejected) {
 
 TEST(Messages, TruncationNeverCrashes) {
   HeartbeatMsg msg;
-  msg.entry = make_representative_entry(1);
+  msg.entry = row(1);
   auto payload = encode_message(Message{msg});
   for (size_t cut = 1; cut < payload->size(); ++cut) {
     (void)decode_message(payload->data(), cut);  // must not crash

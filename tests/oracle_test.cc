@@ -110,7 +110,7 @@ TEST_F(OracleTest, DetectsPlantedFalseRemoval) {
   size_t observer = index_of(layout_.racks[1][1]);  // lives in rack 1
   const auto* entry = cluster_->daemon(observer).table().find(victim);
   ASSERT_NE(entry, nullptr);
-  cluster_->daemon(observer).table().remove(victim, entry->data.incarnation,
+  cluster_->daemon(observer).table().remove(victim, entry->data->incarnation,
                                             sim_->now());
   sim::Time planted_at = sim_->now();
   sim_->run_until(planted_at + 3 * sim::kSecond);

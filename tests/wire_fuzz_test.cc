@@ -41,7 +41,8 @@ TEST(WireFuzz, RandomBytesNeverCrashServiceDecoder) {
 TEST(WireFuzz, MutatedValidMessagesNeverCrash) {
   util::Rng rng(3);
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(5);
+  heartbeat.entry =
+      membership::EntryRef(membership::make_representative_entry(5));
   auto payload = membership::encode_message(membership::Message{heartbeat});
   for (int i = 0; i < 20000; ++i) {
     std::vector<uint8_t> mutated(*payload);
@@ -67,7 +68,7 @@ TEST(WireFuzz, WrongVersionByteAlwaysRejected) {
   record.seq = 1;
   record.kind = membership::UpdateKind::kJoin;
   record.subject = 7;
-  record.entry = membership::make_representative_entry(7);
+  record.entry = membership::EntryRef(membership::make_representative_entry(7));
   update.records.push_back(std::move(record));
   auto payload = membership::encode_message(membership::Message{update});
   ASSERT_EQ((*payload)[0], membership::kWireVersionByte);
@@ -148,8 +149,8 @@ TEST(WireFuzz, RandomUpdateMessagesRoundTrip) {
       record.incarnation = rng.next_u64();
       if (rng.bernoulli(0.5)) {
         record.kind = membership::UpdateKind::kJoin;
-        record.entry =
-            membership::make_representative_entry(record.subject, 1);
+        record.entry = membership::EntryRef(
+            membership::make_representative_entry(record.subject, 1));
       } else {
         record.kind = membership::UpdateKind::kLeave;
       }
@@ -452,7 +453,8 @@ TEST(WireFuzz, MutatedDigestMessagesNeverCrash) {
   membership::RefreshDeltaMsg delta;
   delta.responder = 40;
   delta.truncated = true;
-  delta.entries = {membership::make_representative_entry(21, 2)};
+  delta.entries = {
+      membership::EntryRef(membership::make_representative_entry(21, 2))};
   delta.confirmed = {22, 23, 24};
 
   const membership::Message corpus[] = {membership::Message{digest},
@@ -499,7 +501,8 @@ TEST(WireFuzz, OversizedDigestVectorsRejected) {
 // or a well-formed message, never crash or over-read.
 TEST(WireFuzz, TruncatedMessagesNeverCrash) {
   membership::HeartbeatMsg heartbeat;
-  heartbeat.entry = membership::make_representative_entry(5);
+  heartbeat.entry =
+      membership::EntryRef(membership::make_representative_entry(5));
   auto mpayload = membership::encode_message(membership::Message{heartbeat});
   for (size_t len = 0; len < mpayload->size(); ++len) {
     (void)membership::decode_message(mpayload->data(), len);
@@ -512,6 +515,102 @@ TEST(WireFuzz, TruncatedMessagesNeverCrash) {
     (void)service::decode_service_message(spayload->data(), len);
   }
   SUCCEED();
+}
+
+// The interning decoder walks a row's slice without building it and only
+// materializes on a pool miss. It must agree with decode_entry on every
+// input: the same accept/reject verdict, the same bytes consumed, the same
+// row when accepted — and a rejected input interns nothing.
+TEST(WireFuzz, InterningDecodeAgreesWithDecodeEntry) {
+  util::Rng rng(12);
+  membership::EntryPool pool;
+  std::vector<membership::EntryRef> held;
+  std::vector<std::vector<uint8_t>> corpus;
+  for (membership::NodeId node : {1u, 77u, 4096u}) {
+    membership::EntryData data = membership::make_representative_entry(node, 3);
+    if (node == 77) data.services.clear();
+    held.push_back(pool.intern(data));  // so mutations can hit, too
+    membership::WireWriter w;
+    membership::encode_entry(w, data);
+    corpus.push_back(w.take());
+  }
+  const size_t baseline = pool.live_records();
+
+  auto check = [&](const std::vector<uint8_t>& bytes, size_t len) {
+    membership::WireReader plain(bytes.data(), len);
+    std::optional<membership::EntryData> want = membership::decode_entry(plain);
+    membership::WireReader interning(bytes.data(), len);
+    membership::EntryRef got = pool.decode(interning);
+    ASSERT_EQ(static_cast<bool>(got), want.has_value()) << "len " << len;
+    ASSERT_EQ(interning.ok(), plain.ok());
+    ASSERT_EQ(interning.remaining(), plain.remaining());
+    if (!got) {
+      EXPECT_EQ(pool.live_records(), baseline) << "rejected row interned";
+      return;
+    }
+    EXPECT_EQ(*got, *want);
+    membership::WireWriter w;
+    membership::encode_entry(w, *want);
+    EXPECT_EQ(got.bytes(), w.view());
+    EXPECT_EQ(got.digest_hash(), membership::digest_row_hash(*want));
+  };
+
+  for (const auto& bytes : corpus) {
+    for (size_t len = 0; len <= bytes.size(); ++len) check(bytes, len);
+    for (int i = 0; i < 5000; ++i) {
+      std::vector<uint8_t> mutated(bytes);
+      int flips = 1 + static_cast<int>(rng.uniform_u64(4));
+      for (int f = 0; f < flips; ++f) {
+        size_t pos = rng.uniform_u64(mutated.size());
+        mutated[pos] ^= static_cast<uint8_t>(1u << rng.uniform_u64(8));
+      }
+      check(mutated, mutated.size());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // Every accepted row was dropped after its check; only the held remain.
+  EXPECT_EQ(pool.live_records(), baseline);
+}
+
+// Whole messages agree too: decoding with and without a pool accepts the
+// same frames and yields equal rows.
+TEST(WireFuzz, PooledMessageDecodeAgreesWithUnpooled) {
+  util::Rng rng(13);
+  membership::EntryPool pool;
+  membership::UpdateMsg update;
+  update.origin = 3;
+  for (membership::NodeId node = 10; node < 14; ++node) {
+    membership::UpdateRecord record;
+    record.seq = node;
+    record.subject = node;
+    record.entry = pool.intern(membership::make_representative_entry(node));
+    update.records.push_back(std::move(record));
+  }
+  auto payload = membership::encode_message(membership::Message{update});
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<uint8_t> mutated(*payload);
+    int flips = 1 + static_cast<int>(rng.uniform_u64(4));
+    for (int f = 0; f < flips; ++f) {
+      size_t pos = rng.uniform_u64(mutated.size());
+      mutated[pos] ^= static_cast<uint8_t>(1u << rng.uniform_u64(8));
+    }
+    const size_t len = rng.bernoulli(0.2) ? rng.uniform_u64(mutated.size())
+                                          : mutated.size();
+    auto pooled = membership::decode_message(mutated.data(), len, &pool);
+    auto unpooled = membership::decode_message(mutated.data(), len);
+    ASSERT_EQ(pooled.has_value(), unpooled.has_value());
+    if (!pooled) continue;
+    auto* a = std::get_if<membership::UpdateMsg>(&*pooled);
+    auto* b = std::get_if<membership::UpdateMsg>(&*unpooled);
+    ASSERT_EQ(a == nullptr, b == nullptr);
+    if (a == nullptr) continue;
+    ASSERT_EQ(a->records.size(), b->records.size());
+    for (size_t r = 0; r < a->records.size(); ++r) {
+      EXPECT_EQ(a->records[r].entry, b->records[r].entry);
+    }
+  }
+  update.records.clear();
+  EXPECT_EQ(pool.live_records(), 0u);
 }
 
 }  // namespace
