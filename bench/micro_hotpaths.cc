@@ -1,15 +1,17 @@
 // Google-benchmark micro-benchmarks for the library's hot paths: wire
 // serialization (every heartbeat), membership-table maintenance (every
 // received packet), service lookup (every invocation), the event queue
-// (everything), and the observability work the transport adds to every
-// send. These bound how large a simulated cluster stays tractable; the
-// obs pair feeds tools/check_hotpath_overhead.py, which gates CI on the
-// instrumentation staying under 5% of a full transport send.
+// (everything), multicast fan-out (every heartbeat), and the observability
+// work the transport adds to every send. These bound how large a simulated
+// cluster stays tractable; the obs pair feeds
+// tools/check_hotpath_overhead.py, which gates CI on the instrumentation
+// staying under 5% of a full transport send.
 #include <benchmark/benchmark.h>
 
 #include "membership/codec.h"
 #include "membership/messages.h"
 #include "membership/table.h"
+#include "net/builders.h"
 #include "net/topology.h"
 #include "net/transport.h"
 #include "obs/obs.h"
@@ -174,6 +176,33 @@ void BM_TableLookupAfterChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_TableLookupAfterChurn)->Arg(100)->Arg(1000);
 
+// Formation-style growth: rows arrive one at a time in no particular order
+// and every insert is followed by a read, so each read merges a one-row
+// overlay into the main vector.
+void BM_TableFlushInterleaved(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  membership::EntryPool pool;
+  std::vector<membership::EntryRef> rows;
+  for (int n = 0; n < nodes; ++n) {
+    rows.push_back(pool.intern(membership::make_representative_entry(
+        static_cast<membership::NodeId>(n))));
+  }
+  util::Rng rng(5);
+  for (size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.uniform_u64(i)]);
+  }
+  for (auto _ : state) {
+    membership::MembershipTable table;
+    for (const auto& row : rows) {
+      table.apply(row, membership::Liveness::kDirect,
+                  membership::kInvalidNode, 0);
+      benchmark::DoNotOptimize(table.find(row->node));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+}
+BENCHMARK(BM_TableFlushInterleaved)->Arg(500)->Arg(2000);
+
 void BM_EventQueuePushPop(benchmark::State& state) {
   sim::EventQueue queue;
   util::Rng rng(7);
@@ -277,6 +306,40 @@ void BM_TransportSendUnicast(benchmark::State& state) {
   benchmark::DoNotOptimize(received);
 }
 BENCHMARK(BM_TransportSendUnicast);
+
+// A level-0 heartbeat in a 500-host cluster: racks of 20 under one core
+// router, every host on one shared channel, sent at TTL 1 so only the
+// sender's 19 rack-mates are in scope. Senders rotate through the cluster;
+// each iteration is one multicast drained to delivery.
+void BM_MulticastFanout(benchmark::State& state) {
+  sim::Simulation sim(11);
+  net::Topology topo;
+  net::RackedClusterParams params;
+  params.hosts_per_rack = 20;
+  params.racks = static_cast<int>(state.range(0)) / params.hosts_per_rack;
+  const net::ClusterLayout layout = net::build_racked_cluster(topo, params);
+  net::Network net(sim, topo);
+  membership::install_wire_classifier(net);
+  uint64_t received = 0;
+  for (net::HostId host : layout.hosts) {
+    net.join_group(host, 1);
+    net.bind(host, 7, [&](const net::Packet&) { ++received; });
+  }
+  membership::HeartbeatMsg heartbeat;
+  heartbeat.entry =
+      membership::EntryRef(membership::make_representative_entry(7));
+  auto payload =
+      membership::encode_message(membership::Message{heartbeat}, 228);
+  size_t next = 0;
+  for (auto _ : state) {
+    net.send_multicast(layout.hosts[next], 1, 1, 7, payload);
+    sim.run();
+    next = (next + 1) % layout.hosts.size();
+  }
+  benchmark::DoNotOptimize(received);
+  state.SetItemsProcessed(static_cast<int64_t>(received));
+}
+BENCHMARK(BM_MulticastFanout)->Arg(500);
 
 }  // namespace
 }  // namespace tamp

@@ -156,8 +156,6 @@ void Topology::accumulate(InfraPath& acc, const LinkParams& link) {
 }
 
 void Topology::compile() const {
-  if (compiled_) return;
-
   // Host access links.
   host_uplink_.assign(devices_.size(), UINT32_MAX);
   host_attach_.assign(devices_.size(), kInvalidDevice);
@@ -248,7 +246,7 @@ PathInfo Topology::path(HostId a, HostId b) const {
     out.reachable = true;
     return out;
   }
-  compile();
+  ensure_compiled();
   if (host_attach_[a] == kInvalidDevice || host_attach_[b] == kInvalidDevice) {
     return out;  // detached host
   }
@@ -289,12 +287,15 @@ int Topology::ttl_required(HostId a, HostId b) const {
 }
 
 int Topology::max_ttl() const {
+  if (max_ttl_epoch_ == epoch_) return max_ttl_;
   int best = 1;
   for (size_t i = 0; i < hosts_.size(); ++i) {
     for (size_t j = i + 1; j < hosts_.size(); ++j) {
       best = std::max(best, ttl_required(hosts_[i], hosts_[j]));
     }
   }
+  max_ttl_ = best;
+  max_ttl_epoch_ = epoch_;
   return best;
 }
 

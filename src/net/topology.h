@@ -124,7 +124,8 @@ class Topology {
   int ttl_required(HostId a, HostId b) const;
 
   // Largest ttl_required over all reachable host pairs — the natural
-  // MAX_TTL setting for the hierarchical protocol on this topology.
+  // MAX_TTL setting for the hierarchical protocol on this topology. An
+  // O(hosts²) walk, so the answer is kept until the epoch moves.
   int max_ttl() const;
 
   // The (single) access link attaching `host` to the infrastructure — the
@@ -147,6 +148,11 @@ class Topology {
     double survival = 1.0;
   };
 
+  // Routing state is rebuilt lazily; the check is inline because path()
+  // runs it on every query and the state is compiled nearly always.
+  void ensure_compiled() const {
+    if (!compiled_) compile();
+  }
   void compile() const;  // (re)build routing state; const because lazy
   const InfraPath& infra_path(DeviceId a, DeviceId b) const;
   static void accumulate(InfraPath& acc, const LinkParams& link);
@@ -174,6 +180,8 @@ class Topology {
   mutable std::vector<DeviceId> infra_index_;        // device -> dense index
   mutable std::vector<DeviceId> infra_devices_;      // dense index -> device
   mutable std::vector<InfraPath> infra_matrix_;      // dense n x n
+  mutable uint64_t max_ttl_epoch_ = UINT64_MAX;      // epoch max_ttl_ is for
+  mutable int max_ttl_ = 1;
 };
 
 }  // namespace tamp::net

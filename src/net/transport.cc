@@ -82,15 +82,18 @@ void Network::unbind(HostId host, Port port) {
 void Network::join_group(HostId host, ChannelId channel) {
   TAMP_CHECK(host < hosts_.size());
   if (hosts_[host].groups.insert(channel).second) {
-    channel_members_[channel].push_back(host);
+    Channel& ch = channels_[channel];
+    ch.members.push_back(host);
+    ++ch.version;
   }
 }
 
 void Network::leave_group(HostId host, ChannelId channel) {
   TAMP_CHECK(host < hosts_.size());
   if (hosts_[host].groups.erase(channel) > 0) {
-    auto& members = channel_members_[channel];
-    members.erase(std::find(members.begin(), members.end(), host));
+    Channel& ch = channels_[channel];
+    ch.members.erase(std::find(ch.members.begin(), ch.members.end(), host));
+    ++ch.version;
   }
 }
 
@@ -216,6 +219,30 @@ bool Network::send_unicast(HostId from, Address to, Payload payload) {
   return true;
 }
 
+const std::vector<HostId>& Network::scope_of(HostId from, Channel& channel,
+                                              uint8_t ttl) {
+  Scope& scope = channel.scopes[static_cast<uint64_t>(from) << 8 | ttl];
+  const uint64_t epoch = topology_.epoch();
+  // A fresh Scope (version 0) is stale too: every channel that has members
+  // has seen at least one join.
+  if (scope.topology_epoch == epoch &&
+      scope.channel_version == channel.version) {
+    return scope.receivers;
+  }
+  scope.topology_epoch = epoch;
+  scope.channel_version = channel.version;
+  scope.receivers.clear();
+  for (HostId receiver : channel.members) {
+    if (receiver == from) continue;
+    const PathInfo path = topology_.path(from, receiver);
+    // Out of TTL scope: routers would discard the packet.
+    if (path.reachable && path.router_hops + 1 <= static_cast<int>(ttl)) {
+      scope.receivers.push_back(receiver);
+    }
+  }
+  return scope.receivers;
+}
+
 bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
                              Port port, Payload payload) {
   TAMP_CHECK(from < hosts_.size());
@@ -244,8 +271,8 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
   tx_bytes_kind_[kind]->add(wire);
 
   const size_t fragments = fragments_for(payload ? payload->size() : 0);
-  auto members = channel_members_.find(channel);
-  if (members == channel_members_.end()) return true;
+  auto subscribed = channels_.find(channel);
+  if (subscribed == channels_.end()) return true;
 
   // Fan-out batching: receivers on identical paths (the common case — a
   // whole rack behind one switch) land at the same delivery time, so their
@@ -257,12 +284,8 @@ bool Network::send_multicast(HostId from, ChannelId channel, uint8_t ttl,
     std::vector<Packet> packets;
   };
   std::vector<DeliveryGroup> groups;  // first-seen delay order
-  for (HostId receiver : members->second) {
-    if (receiver == from) continue;
-    PathInfo path = topology_.path(from, receiver);
-    if (!path.reachable || path.router_hops + 1 > static_cast<int>(ttl)) {
-      continue;  // out of TTL scope: routers discarded the packet
-    }
+  for (HostId receiver : scope_of(from, subscribed->second, ttl)) {
+    const PathInfo path = topology_.path(from, receiver);
     Packet packet;
     packet.from = Address{from, 0};
     packet.to = Address{receiver, port};

@@ -156,10 +156,32 @@ class Network {
     sim::Time egress_free_at = 0;
   };
 
-  // Per-channel membership index so multicast fan-out touches only the
-  // subscribed hosts (a 4000-node cluster has thousands of hosts but each
-  // hierarchical channel only ~20 members).
-  std::unordered_map<ChannelId, std::vector<HostId>> channel_members_;
+  // One multicast channel's subscribers. Level channels are shared
+  // cluster-wide — every host joins the level-0 channel — and TTL scoping,
+  // not the subscriber list, separates the groups on them. So a fan-out
+  // reads its receivers from a scope cached per (sender, ttl): the members
+  // other than the sender that the topology routes to within `ttl` router
+  // hops, in member order. A scope is valid while the topology epoch and
+  // the channel's version both match the values it was built at; every
+  // join_group/leave_group bumps the version. Scopes hold receiver ids
+  // only: path properties are re-read per delivery, and host up/down is
+  // judged at delivery time, so neither is ever cached.
+  struct Scope {
+    uint64_t topology_epoch = 0;
+    uint64_t channel_version = 0;
+    std::vector<HostId> receivers;
+  };
+  struct Channel {
+    std::vector<HostId> members;  // join order
+    uint64_t version = 0;
+    std::unordered_map<uint64_t, Scope> scopes;  // key: sender << 8 | ttl
+  };
+  std::unordered_map<ChannelId, Channel> channels_;
+
+  // The in-scope receivers of a multicast from `from` on `channel`,
+  // rebuilt (with a path() query per member) only when stale.
+  const std::vector<HostId>& scope_of(HostId from, Channel& channel,
+                                      uint8_t ttl);
 
   size_t wire_bytes_for(size_t payload_size) const;
   size_t fragments_for(size_t payload_size) const;

@@ -92,9 +92,12 @@ HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
   table_ = membership::MembershipTable(kTombstoneTtl);
   levels_.reserve(static_cast<size_t>(config_.max_ttl));
   for (int level = 0; level < config_.max_ttl; ++level) {
-    auto state = std::make_unique<LevelState>(UpdateStream(
-        config_.piggyback, level_timeout(level), metrics_.out_log_compacted,
-        metrics_.deaf_backlogs_dropped, metrics_.gaps_recovered_by_piggyback));
+    const sim::Duration timeout = level_timeout(level);
+    auto state = std::make_unique<LevelState>(
+        UpdateStream(config_.piggyback, timeout, metrics_.out_log_compacted,
+                     metrics_.deaf_backlogs_dropped,
+                     metrics_.gaps_recovered_by_piggyback),
+        timeout);
     // Listening, the coordinator wait and the backup grace all end the
     // same way: a channel still leaderless elects.
     auto elect_if_leaderless = [this, level] {
@@ -299,7 +302,7 @@ std::vector<int> HierDaemon::joined_levels() const {
 std::vector<NodeId> HierDaemon::group_members(int level) const {
   std::vector<NodeId> out;
   if (!joined(level)) return out;
-  for (const auto& [node, info] : levels_[level]->members) out.push_back(node);
+  for (const auto& m : levels_[level]->members.all()) out.push_back(m.node);
   return out;
 }
 
@@ -371,15 +374,14 @@ void HierDaemon::send_heartbeat(int level) {
 
 void HierDaemon::scan_tick() {
   // Levels joined during the scan (a backup taking over joins the next
-  // level up) are scanned in the same tick.
+  // level up) are scanned in the same tick. on_member_dead removes every
+  // member due() returns, as due() requires.
   for (int l = 0; l < config_.max_ttl; ++l) {
     if (!levels_[l]->joined) continue;
-    const sim::Duration timeout = level_timeout(l);
-    std::vector<NodeId> dead;
-    for (const auto& [node, info] : levels_[l]->members) {
-      if (sim_.now() - info.last_heard > timeout) dead.push_back(node);
+    LevelState& ls = level_state(l);
+    for (NodeId node : ls.members.due(sim_.now(), ls.timeout)) {
+      on_member_dead(l, node);
     }
-    for (NodeId node : dead) on_member_dead(l, node);
   }
 }
 
@@ -407,9 +409,9 @@ void HierDaemon::topology_poll_tick() {
 size_t HierDaemon::drop_out_of_scope(int level) {
   LevelState& ls = level_state(level);
   std::vector<NodeId> gone;
-  for (const auto& [member, info] : ls.members) {
-    const int ttl = net_.topology().ttl_required(self_, member);
-    if (ttl == 0 || ttl > level + 1) gone.push_back(member);
+  for (const auto& m : ls.members.all()) {
+    const int ttl = net_.topology().ttl_required(self_, m.node);
+    if (ttl == 0 || ttl > level + 1) gone.push_back(m.node);
   }
   for (NodeId member : gone) {
     forget_member(level, member);
@@ -442,15 +444,15 @@ bool HierDaemon::heard_directly(NodeId node) const {
 
 void HierDaemon::on_member_dead(int level, NodeId member) {
   LevelState& ls = level_state(level);
-  auto it = ls.members.find(member);
-  if (it == ls.members.end()) return;
-  const bool was_leader = it->second.is_leader || ls.leader == member;
+  const LevelMembers::Member* info = ls.members.find(member);
+  if (info == nullptr) return;
+  const bool was_leader = info->is_leader || ls.leader == member;
   // Capture the dying life's incarnation before the table entry goes: the
   // succession fence must name the life that was lost, not a later restart.
   const auto* lost_entry = table_.find(member);
   const Incarnation lost_incarnation =
       lost_entry ? lost_entry->data->incarnation : 0;
-  ls.members.erase(it);
+  ls.members.erase(member);
   slots_.prune(level, member);
 
   TAMP_LOG(Info) << "hier node " << self_ << " detects member " << member
@@ -652,11 +654,10 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
     ls.epoch = msg.epoch;
   }
 
-  const bool added_member = !ls.members.contains(sender);
   // A stale claimant is still a live member; just don't record it as a
   // leader, or its presence would suppress a genuinely needed election.
-  ls.members[sender] = MemberInfo{now, msg.is_leader && !stale_claim,
-                                  msg.backup};
+  const bool added_member = ls.members.put(
+      sender, now, msg.is_leader && !stale_claim, msg.backup);
 
   ApplyResult result = table_.apply(msg.entry, Liveness::kDirect,
                                     membership::kInvalidNode, now);
@@ -725,8 +726,7 @@ void HierDaemon::on_heartbeat(int level, const HeartbeatMsg& msg) {
 void HierDaemon::on_update(int level, const UpdateMsg& msg) {
   LevelState& ls = level_state(level);
   if (msg.origin == self_) return;
-  auto member = ls.members.find(msg.origin);
-  if (member != ls.members.end()) member->second.last_heard = sim_.now();
+  ls.members.touch(msg.origin, sim_.now());
   // Stale-replay fence. An update stream from an origin whose leadership
   // claim on this channel was superseded — at or below the epoch the batch
   // is stamped with — is replay from before the re-election (a resumed
@@ -802,7 +802,7 @@ void HierDaemon::on_coordinator(int level, const CoordinatorMsg& msg) {
   ls.prev_leader = membership::kInvalidNode;  // succession resolved
   ls.prev_leader_incarnation = 0;
   end_election(ls);
-  ls.members[msg.leader] = MemberInfo{sim_.now(), true, msg.backup};
+  ls.members.put(msg.leader, sim_.now(), true, msg.backup);
   if (!ls.bootstrapped) request_bootstrap(level, msg.leader);
 }
 
@@ -813,8 +813,8 @@ bool HierDaemon::can_participate(int level) const {
   if (!ls.joined) return false;
   // Paper overlap rule: stay out of elections on a channel where we already
   // hear a leader (even one of a different, overlapping group).
-  for (const auto& [node, info] : ls.members) {
-    if (info.is_leader) return false;
+  for (const auto& m : ls.members.all()) {
+    if (m.is_leader) return false;
   }
   return true;
 }
@@ -849,7 +849,7 @@ void HierDaemon::election_deadline(int level) {
 NodeId HierDaemon::pick_backup(int level) {
   LevelState& ls = level_state(level);
   std::vector<NodeId> candidates;
-  for (const auto& [node, info] : ls.members) candidates.push_back(node);
+  for (const auto& m : ls.members.all()) candidates.push_back(m.node);
   if (candidates.empty()) return membership::kInvalidNode;
   return sim_.rng().pick(candidates);
 }
@@ -1192,8 +1192,7 @@ std::vector<const MembershipEntry*> HierDaemon::digest_receiver_scope(
 void HierDaemon::on_refresh_digest(int level, const RefreshDigestMsg& msg) {
   LevelState& ls = level_state(level);
   if (msg.origin == self_) return;
-  auto member = ls.members.find(msg.origin);
-  if (member != ls.members.end()) member->second.last_heard = sim_.now();
+  ls.members.touch(msg.origin, sim_.now());
   // Same stale-replay fence as update streams: a digest from a superseded
   // leadership life describes a pre-re-election world; comparing against it
   // (and worse, pulling rows from it) would resurrect that world.

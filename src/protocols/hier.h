@@ -49,6 +49,7 @@
 #include "obs/obs.h"
 #include "protocols/daemon.h"
 #include "protocols/exchange_slots.h"
+#include "protocols/level_members.h"
 #include "protocols/ports.h"
 #include "protocols/update_stream.h"
 #include "sim/timer.h"
@@ -159,17 +160,13 @@ class HierDaemon : public MembershipDaemon {
   sim::Duration level_timeout(int level) const;
 
  private:
-  struct MemberInfo {
-    sim::Time last_heard = 0;
-    bool is_leader = false;
-    membership::NodeId backup = membership::kInvalidNode;
-  };
-
   struct LevelState {
-    explicit LevelState(UpdateStream stream) : stream(std::move(stream)) {}
+    LevelState(UpdateStream stream, sim::Duration timeout)
+        : timeout(timeout), stream(std::move(stream)) {}
+    const sim::Duration timeout;  // level_timeout(level), computed once
     bool joined = false;
     bool bootstrapped = false;
-    std::map<membership::NodeId, MemberInfo> members;  // excludes self
+    LevelMembers members;  // heard directly on the channel; excludes self
 
     membership::NodeId leader = membership::kInvalidNode;  // may be self
     membership::NodeId leader_backup = membership::kInvalidNode;

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "membership/messages.h"
@@ -148,19 +148,18 @@ class UpdateStream {
     std::sort(receipt.fresh.begin(), receipt.fresh.end(),
               [](const auto* a, const auto* b) { return a->seq < b->seq; });
     const uint64_t newest = receipt.fresh.back()->seq;
-    auto cursor = in_seq_.find(msg.origin);
-    if (cursor == in_seq_.end() ||
-        cursor->second.incarnation < msg.origin_incarnation) {
+    Cursor* cursor = find(msg.origin);
+    if (cursor == nullptr || cursor->incarnation < msg.origin_incarnation) {
       // First contact with this origin's stream on this channel (or the
       // origin restarted and its sequence numbers start over): there is no
       // history to have lost.
-      in_seq_[msg.origin] = Cursor{msg.origin_incarnation, newest};
+      put(msg.origin, Cursor{msg.origin_incarnation, newest});
       return receipt;
     }
-    if (cursor->second.incarnation > msg.origin_incarnation) {
+    if (cursor->incarnation > msg.origin_incarnation) {
       return {Verdict::kOldLife, {}};
     }
-    const uint64_t known = cursor->second.seq;
+    const uint64_t known = cursor->seq;
     if (newest <= known) {
       receipt.verdict = Verdict::kDuplicate;
     } else if (msg.window_base > known) {
@@ -173,7 +172,7 @@ class UpdateStream {
       receipt.verdict =
           known + 1 < newest ? Verdict::kRecovered : Verdict::kInOrder;
       if (receipt.verdict == Verdict::kRecovered) gaps_recovered_->add();
-      cursor->second.seq = newest;
+      cursor->seq = newest;
     }
     std::erase_if(receipt.fresh,
                   [known](const auto* record) { return record->seq <= known; });
@@ -185,9 +184,9 @@ class UpdateStream {
   // i.e. updates were lost with nothing since to expose the gap.
   bool lags(membership::NodeId origin, membership::Incarnation incarnation,
             uint64_t advertised) {
-    auto cursor = in_seq_.find(origin);
-    if (cursor != in_seq_.end() && cursor->second.incarnation == incarnation) {
-      return advertised > cursor->second.seq;
+    const Cursor* cursor = find(origin);
+    if (cursor != nullptr && cursor->incarnation == incarnation) {
+      return advertised > cursor->seq;
     }
     anchor(origin, incarnation, advertised);
     return false;
@@ -198,16 +197,14 @@ class UpdateStream {
   void anchor(membership::NodeId origin, membership::Incarnation incarnation,
               uint64_t seq) {
     const Cursor next{incarnation, seq};
-    auto cursor = in_seq_.find(origin);
-    if (cursor == in_seq_.end() || cursor->second < next) {
-      in_seq_[origin] = next;
-    }
+    const Cursor* cursor = find(origin);
+    if (cursor == nullptr || *cursor < next) put(origin, next);
   }
 
   // The origin's cursor position (0 when there is none).
   uint64_t cursor(membership::NodeId origin) const {
-    auto cursor = in_seq_.find(origin);
-    return cursor != in_seq_.end() ? cursor->second.seq : 0;
+    const Cursor* cursor = find(origin);
+    return cursor != nullptr ? cursor->seq : 0;
   }
 
  private:
@@ -224,6 +221,30 @@ class UpdateStream {
     uint64_t seq = 0;
     auto operator<=>(const Cursor&) const = default;  // life first
   };
+  using CursorSlot = std::pair<membership::NodeId, Cursor>;
+
+  // in_seq_ is a flat array sorted by origin: a heartbeat's lag check is a
+  // binary search over the few origins a channel's group holds.
+  static bool before(const CursorSlot& slot, membership::NodeId origin) {
+    return slot.first < origin;
+  }
+  template <class Slots>
+  static auto* find_in(Slots& slots, membership::NodeId origin) {
+    auto it = std::lower_bound(slots.begin(), slots.end(), origin, before);
+    return it != slots.end() && it->first == origin ? &it->second : nullptr;
+  }
+  Cursor* find(membership::NodeId origin) { return find_in(in_seq_, origin); }
+  const Cursor* find(membership::NodeId origin) const {
+    return find_in(in_seq_, origin);
+  }
+  void put(membership::NodeId origin, Cursor cursor) {
+    auto it = std::lower_bound(in_seq_.begin(), in_seq_.end(), origin, before);
+    if (it != in_seq_.end() && it->first == origin) {
+      it->second = cursor;
+    } else {
+      in_seq_.insert(it, CursorSlot{origin, cursor});
+    }
+  }
 
   int piggyback_;
   sim::Duration deaf_after_;
@@ -239,7 +260,10 @@ class UpdateStream {
   // receivers can tell a compaction hole (fine) from trimmed-away history
   // (needs a full-image sync).
   uint64_t out_log_base_ = 0;
-  std::unordered_map<membership::NodeId, Cursor> in_seq_;
+  // One cursor per origin ever heard on the channel, sorted by origin. A
+  // cursor outlives the origin's membership of the group: only reset()
+  // (leaving the channel) drops them.
+  std::vector<CursorSlot> in_seq_;
 };
 
 }  // namespace tamp::protocols

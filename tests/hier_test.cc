@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <set>
 
+#include "membership/messages.h"
 #include "net/builders.h"
 #include "protocols/cluster.h"
+#include "protocols/level_members.h"
 
 namespace tamp::protocols {
 namespace {
@@ -446,6 +448,199 @@ TEST_F(HierFixture, StatsCountersMove) {
   EXPECT_GT(m.counter_sum_over_nodes(obs::Protocol::kHier,
                                      "bootstraps_requested"),
             0u);
+}
+
+// --- failure-scan early-out ---------------------------------------------
+
+// The members `observer` timed out, as (scan tick, member) in trace order.
+std::vector<std::pair<sim::Time, membership::NodeId>> expiries_at(
+    const net::Network& net, net::HostId observer) {
+  std::vector<std::pair<sim::Time, membership::NodeId>> out;
+  for (const obs::TraceEvent& e : net.obs().tracer.events()) {
+    if (e.kind == obs::TraceKind::kTimeoutExpiry && e.node == observer) {
+      out.emplace_back(e.at, static_cast<membership::NodeId>(e.a));
+    }
+  }
+  return out;
+}
+
+void trace_expiries(net::Network& net) {
+  net.obs().tracer.set_enabled(true);
+  net.obs().tracer.set_kinds_mask(
+      obs::trace_bit(obs::TraceKind::kTimeoutExpiry));
+}
+
+TEST(LevelMembers, DueWalksInNodeOrderAndInsertLowersTheBound) {
+  LevelMembers members;
+  EXPECT_TRUE(members.due(100, 10).empty());
+  EXPECT_TRUE(members.put(7, 0, false, membership::kInvalidNode));
+  EXPECT_TRUE(members.put(3, 0, true, 7));
+  EXPECT_TRUE(members.put(5, 5, false, membership::kInvalidNode));
+  EXPECT_FALSE(members.put(5, 6, false, membership::kInvalidNode));
+  EXPECT_TRUE(members.due(10, 10).empty());  // silent exactly the timeout
+  EXPECT_EQ(members.due(11, 10), (std::vector<membership::NodeId>{3, 7}));
+  ASSERT_TRUE(members.erase(3));
+  ASSERT_TRUE(members.erase(7));
+  EXPECT_FALSE(members.erase(7));
+  members.touch(5, 30);
+  EXPECT_TRUE(members.due(40, 10).empty());
+  EXPECT_EQ(members.due(41, 10), (std::vector<membership::NodeId>{5}));
+  ASSERT_TRUE(members.erase(5));
+  EXPECT_TRUE(members.due(1000, 10).empty());  // emptied: bound is "never"
+  members.put(9, 1000, false, membership::kInvalidNode);
+  EXPECT_EQ(members.due(1011, 10), (std::vector<membership::NodeId>{9}));
+}
+
+// Holds every packet the listed senders emit until the next whole multiple
+// of `period`, so all their traffic lands together on those boundaries.
+class BoundaryRelease : public net::FaultInjector {
+ public:
+  BoundaryRelease(sim::Simulation& sim, std::vector<net::HostId> senders,
+                  sim::Duration period)
+      : sim_(sim), senders_(std::move(senders)), period_(period) {}
+  Verdict verdict(const net::Packet& p) override {
+    Verdict v;
+    if (std::find(senders_.begin(), senders_.end(), p.from.host) !=
+        senders_.end()) {
+      v.extra_delay = (period_ - sim_.now() % period_) % period_;
+    }
+    return v;
+  }
+
+ private:
+  sim::Simulation& sim_;
+  std::vector<net::HostId> senders_;
+  sim::Duration period_;
+};
+
+TEST_F(HierFixture, MembersKilledTogetherExpireAtOneScanTickInNodeOrder) {
+  auto layout = net::build_single_segment(topo, 8);
+  net::Network net(sim, topo);
+  Cluster cluster(sim, net, layout.hosts, options(1));
+  cluster.start_all();
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+
+  // Bully elects the lowest id, so the highest three are plain members.
+  // For the last period before they die, everything they send reaches
+  // their peers at the kill instant, so every survivor last heard all
+  // three at one time; they are killed out of id order.
+  const std::vector<membership::NodeId> victims = {
+      layout.hosts[5], layout.hosts[6], layout.hosts[7]};
+  const sim::Duration period = options().hier.period;
+  BoundaryRelease release(sim, victims, period);
+  net.set_fault_injector(&release);
+  sim.run_until(11 * sim::kSecond);
+  trace_expiries(net);
+  const sim::Time kill_at = sim.now();
+  for (size_t index : {6u, 5u, 7u}) cluster.kill(index);
+  sim.run_until(kill_at + 10 * sim::kSecond);
+  net.set_fault_injector(nullptr);
+
+  const sim::Duration timeout = cluster.hier_daemon(0)->level_timeout(0);
+  for (size_t i = 0; i < 5; ++i) {
+    const auto expired = expiries_at(net, layout.hosts[i]);
+    ASSERT_EQ(expired.size(), 3u) << "observer " << layout.hosts[i];
+    for (size_t k = 0; k < expired.size(); ++k) {
+      EXPECT_EQ(expired[k].first, expired[0].first);
+      EXPECT_EQ(expired[k].second, victims[k]);
+    }
+    EXPECT_GT(expired[0].first - kill_at, timeout);
+    EXPECT_LE(expired[0].first - kill_at,
+              timeout + HierDaemon::kScanInterval + sim::kMillisecond);
+    EXPECT_EQ(cluster.hier_daemon(i)->group_members(0).size(), 4u);
+  }
+}
+
+// Lets through only every `keep`-th heartbeat from `from` to `to` and drops
+// everything else between them in that direction.
+class SparseHeartbeats : public net::FaultInjector {
+ public:
+  SparseHeartbeats(net::HostId from, net::HostId to, int keep)
+      : from_(from), to_(to), keep_(keep) {}
+  Verdict verdict(const net::Packet& p) override {
+    Verdict v;
+    if (!armed || p.from.host != from_ || p.to.host != to_) return v;
+    const bool heartbeat =
+        p.size() >= 2 && p.data()[0] == membership::kWireVersionByte &&
+        p.data()[1] == static_cast<uint8_t>(membership::MessageType::kHeartbeat);
+    v.cut = !heartbeat || (seen_++ % keep_) != 0;
+    return v;
+  }
+  bool armed = false;
+
+ private:
+  net::HostId from_;
+  net::HostId to_;
+  int keep_;
+  int seen_ = 0;
+};
+
+TEST_F(HierFixture, MemberHeardJustBeforeItsDeadlineIsKept) {
+  // With a 1 s period and a 5 s timeout, one heartbeat in 4 refreshes the
+  // member 1 s before its deadline each time; one in 6 comes 1 s late.
+  for (int keep : {4, 6}) {
+    sim::Simulation local_sim(23);
+    net::Topology local_topo;
+    auto layout = net::build_single_segment(local_topo, 5);
+    net::Network net(local_sim, local_topo);
+    Cluster cluster(local_sim, net, layout.hosts, options(1));
+    const net::HostId observer = layout.hosts[3];
+    const net::HostId quiet = layout.hosts[4];
+    SparseHeartbeats injector(quiet, observer, keep);
+    net.set_fault_injector(&injector);
+    cluster.start_all();
+    local_sim.run_until(10 * sim::kSecond);
+    ASSERT_TRUE(cluster.converged());
+    trace_expiries(net);
+    injector.armed = true;
+    local_sim.run_until(40 * sim::kSecond);
+
+    const auto expired = expiries_at(net, observer);
+    if (keep == 4) {
+      EXPECT_TRUE(expired.empty()) << "expired at " << expired[0].first;
+      const auto members = cluster.hier_daemon(3)->group_members(0);
+      EXPECT_NE(std::find(members.begin(), members.end(), quiet),
+                members.end());
+    } else {
+      ASSERT_FALSE(expired.empty());
+      EXPECT_EQ(expired[0].second, quiet);
+    }
+    net.set_fault_injector(nullptr);
+  }
+}
+
+TEST_F(HierFixture, MemberJoiningALevelEmptiedByExpiryStillTimesOut) {
+  auto layout = net::build_single_segment(topo, 3);
+  net::Network net(sim, topo);
+  Cluster cluster(sim, net, layout.hosts, options(1));
+  cluster.start_all();
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_TRUE(cluster.converged());
+  trace_expiries(net);
+
+  // Node 0 times out both peers and is left alone on the channel.
+  cluster.kill(1);
+  cluster.kill(2);
+  sim.run_until(sim.now() + 10 * sim::kSecond);
+  ASSERT_TRUE(cluster.hier_daemon(0)->group_members(0).empty());
+  ASSERT_EQ(expiries_at(net, layout.hosts[0]).size(), 2u);
+
+  // A peer joins the emptied level, then dies again: still timed out.
+  cluster.restart(1);
+  sim.run_until(sim.now() + 5 * sim::kSecond);
+  ASSERT_EQ(cluster.hier_daemon(0)->group_members(0),
+            (std::vector<membership::NodeId>{layout.hosts[1]}));
+  const sim::Time kill_at = sim.now();
+  cluster.kill(1);
+  sim.run_until(kill_at + 10 * sim::kSecond);
+  const auto expired = expiries_at(net, layout.hosts[0]);
+  ASSERT_EQ(expired.size(), 3u);
+  EXPECT_EQ(expired[2].second, layout.hosts[1]);
+  EXPECT_LE(expired[2].first - kill_at,
+            cluster.hier_daemon(0)->level_timeout(0) +
+                HierDaemon::kScanInterval);
+  EXPECT_TRUE(cluster.hier_daemon(0)->group_members(0).empty());
 }
 
 }  // namespace

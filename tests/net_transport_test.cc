@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/builders.h"
@@ -225,6 +228,86 @@ TEST_F(TransportFixture, LeaveGroupStopsDelivery) {
   net.send_multicast(layout.hosts[0], 3, 1, 7, bytes({1}));
   sim.run();
   EXPECT_EQ(rx, 1);
+}
+
+// The receivers a multicast from `from` at `ttl` must reach, in delivery
+// order: the channel's `members` (join order) other than the sender that
+// Topology::path puts within ttl router hops, nearer ones first and equal
+// delays in member order. All links here share one bandwidth, so the
+// delivery delay orders like the path latency.
+std::vector<HostId> reference_fanout(const Topology& topo,
+                                     const std::vector<HostId>& members,
+                                     HostId from, uint8_t ttl) {
+  std::vector<std::pair<sim::Duration, HostId>> in_scope;
+  for (HostId h : members) {
+    if (h == from) continue;
+    const PathInfo path = topo.path(from, h);
+    if (path.reachable && path.router_hops + 1 <= ttl) {
+      in_scope.emplace_back(path.latency, h);
+    }
+  }
+  std::stable_sort(in_scope.begin(), in_scope.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<HostId> out;
+  for (const auto& [latency, h] : in_scope) out.push_back(h);
+  return out;
+}
+
+TEST_F(TransportFixture, CachedScopeFollowsTopologyAndGroupChanges) {
+  RackedClusterParams params;
+  params.racks = 3;
+  params.hosts_per_rack = 3;
+  params.uplink.bandwidth_bps = params.access_link.bandwidth_bps;
+  auto layout = build_racked_cluster(topo, params);
+  Network net(sim, topo);
+  std::vector<HostId> members;  // the channel's member order, mirrored
+  std::vector<HostId> delivered;
+  for (HostId h : layout.hosts) {
+    net.join_group(h, 5);
+    members.push_back(h);
+    net.bind(h, 7, [&delivered, h](const Packet&) { delivered.push_back(h); });
+  }
+  const HostId sender = layout.racks[0][0];
+  auto fan_out = [&](uint8_t ttl) {
+    delivered.clear();
+    net.send_multicast(sender, 5, ttl, 7, bytes({ttl}));
+    sim.run();
+    return delivered;
+  };
+  auto check = [&](const std::string& step) {
+    for (uint8_t ttl : {1, 2}) {
+      // Twice: the first send may rebuild the cached scope, the second
+      // reads it as built.
+      for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(fan_out(ttl), reference_fanout(topo, members, sender, ttl))
+            << step << ", ttl " << int{ttl} << ", round " << round;
+      }
+    }
+  };
+
+  check("initial");
+  EXPECT_EQ(fan_out(2).size(), 8u);
+  topo.set_device_up(layout.core_router, false);
+  check("core router down");
+  EXPECT_EQ(fan_out(2).size(), 2u);
+  topo.set_device_up(layout.core_router, true);
+  check("core router up");
+  topo.set_link_up(layout.rack_uplinks[1], false);
+  check("rack 1 uplink down");
+  EXPECT_EQ(fan_out(2).size(), 5u);
+  topo.set_link_up(layout.rack_uplinks[1], true);
+  check("rack 1 uplink up");
+  topo.migrate_host(layout.racks[2][0], layout.rack_switches[0]);
+  check("host migrated into rack 0");
+  const HostId rejoiner = layout.racks[0][1];
+  net.leave_group(rejoiner, 5);
+  std::erase(members, rejoiner);
+  check("left the channel");
+  net.join_group(rejoiner, 5);
+  members.push_back(rejoiner);
+  check("rejoined at the end of the member order");
+  EXPECT_EQ(fan_out(1), (std::vector<HostId>{layout.racks[0][2],
+                                             layout.racks[2][0], rejoiner}));
 }
 
 }  // namespace
