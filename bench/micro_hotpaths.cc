@@ -45,8 +45,9 @@ void BM_DecodeEntry(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeEntry);
 
-// The receive path of a row the simulation already holds: walk the slice,
-// hash it, find the pooled record. No EntryData is built.
+// The receive path of a row the simulation already holds: the pool's hint
+// for the node matches, so one compare finds the record. No EntryData is
+// built.
 void BM_DecodeEntryInterned(benchmark::State& state) {
   membership::EntryPool pool;
   const membership::EntryRef held =
@@ -123,6 +124,33 @@ void BM_TableApplyRefresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TableApplyRefresh)->Arg(100)->Arg(1000)->Arg(4000);
+
+// A relayed refresh of a row already held (an update record or a delta row
+// that changed nothing), into a full table of relayed rows whose relay is
+// still heard: the sticky provenance rule and the write share one search.
+void BM_TableApplyRelayed(benchmark::State& state) {
+  constexpr membership::NodeId kRelay = 1u << 20;
+  membership::EntryPool pool;
+  membership::MembershipTable table;
+  const int nodes = static_cast<int>(state.range(0));
+  std::vector<membership::EntryRef> entries;
+  for (int n = 0; n < nodes; ++n) {
+    entries.push_back(pool.intern(membership::make_representative_entry(
+        static_cast<membership::NodeId>(n))));
+    table.apply(entries.back(), membership::Liveness::kRelayed, kRelay, 0);
+  }
+  benchmark::DoNotOptimize(table.find(0));  // merge the inserts
+  const auto heard = [](membership::NodeId relay) { return relay == kRelay; };
+  sim::Time now = 1;
+  size_t i = 0;
+  for (auto _ : state) {
+    auto result = table.apply_relayed(entries[i % entries.size()], kRelay + 1,
+                                      ++now, heard);
+    benchmark::DoNotOptimize(result);
+    ++i;
+  }
+}
+BENCHMARK(BM_TableApplyRelayed)->Arg(500)->Arg(2000);
 
 void fill_table(membership::MembershipTable& table, int nodes) {
   for (int n = 0; n < nodes; ++n) {

@@ -121,7 +121,38 @@ EntryRef EntryPool::intern(const EntryData& data) {
   return adopt(data, std::move(bytes), key);
 }
 
+// The hinted record's bytes are a complete canonical encoding B of its row
+// D. The entry encoding is self-delimiting (fixed-width fields, length-
+// prefixed strings, counted lists) and decode_entry is deterministic: what
+// it reads next, and whether it stops, depends only on the bytes already
+// read. So when the next |B| bytes of the input are B, decode_entry reads
+// exactly those bytes, accepts, consumes |B| and yields D, whatever
+// follows. The slow path below would then find B in the pool, and a pool
+// holds one record per encoding: the hinted one. A hit therefore returns
+// the same record and consumes the same bytes as the walk would, and a
+// miss (a changed row, another node, a short input) just takes the walk.
 EntryRef EntryPool::decode(WireReader& r) {
+  if (r.ok()) {
+    WireReader peek = r;
+    const NodeId node = peek.u32();
+    if (peek.ok()) {
+      auto hint = hints_.find(node);
+      if (hint != hints_.end()) {
+        const std::vector<uint8_t>& held = hint->second->bytes_;
+        if (r.remaining() >= held.size() &&
+            std::memcmp(r.cursor(), held.data(), held.size()) == 0) {
+          r.skip(held.size());
+          return EntryRef(hint->second);
+        }
+      }
+    }
+  }
+  EntryRef ref = decode_slow(r);
+  if (ref) hints_.insert_or_assign(ref->node, ref.record_);
+  return ref;
+}
+
+EntryRef EntryPool::decode_slow(WireReader& r) {
   const uint8_t* start = r.cursor();
   if (!skip_entry(r)) return {};
   const size_t size = static_cast<size_t>(r.cursor() - start);
@@ -146,6 +177,8 @@ EntryRef EntryPool::decode(WireReader& r) {
 }
 
 void EntryPool::forget(const EntryRecord* record) {
+  auto hint = hints_.find(record->data_.node);
+  if (hint != hints_.end() && hint->second == record) hints_.erase(hint);
   auto [it, end] = records_.equal_range(record->pool_key_);
   for (; it != end; ++it) {
     if (it->second == record) {

@@ -35,6 +35,12 @@ uint64_t digest_row_hash(const EntryData& entry);
 // thread running it. Records hold no reference to the pool: a record
 // released while its pool is alive leaves it, and destroying the pool
 // detaches the records still held, which then live on unpooled.
+//
+// A row rarely changes between two heartbeats of its node, so the pool
+// also remembers, per node id, the last record decode() returned for it.
+// A decode whose next bytes equal that record's encoding returns it after
+// one memcmp (see decode()). The hint is a plain pointer, not a handle: it
+// keeps no record alive, and a record leaving the pool clears its hint.
 class EntryPool {
  public:
   EntryPool() = default;
@@ -45,11 +51,10 @@ class EntryPool {
   // The shared record of `data`, encoded and hashed on first sight.
   EntryRef intern(const EntryData& data);
 
-  // Decodes one entry: walks its wire slice without allocating and returns
-  // the pooled record with exactly these bytes, materializing an EntryData
-  // only on a miss. Accepts and rejects exactly what decode_entry does and
-  // consumes the same bytes; on malformed input it returns a null ref with
-  // !r.ok() and interns nothing.
+  // Decodes one entry: returns the pooled record with exactly these bytes,
+  // materializing an EntryData only on a miss. Accepts and rejects exactly
+  // what decode_entry does and consumes the same bytes; on malformed input
+  // it returns a null ref with !r.ok() and interns nothing.
   EntryRef decode(WireReader& r);
 
   // Records alive in the pool and the encoded bytes they hold.
@@ -59,11 +64,17 @@ class EntryPool {
  private:
   friend class EntryRef;
 
+  // decode() without the hint: walks the wire slice without allocating,
+  // hashes it and looks it up.
+  EntryRef decode_slow(WireReader& r);
   EntryRef find(uint64_t key, const uint8_t* bytes, size_t size) const;
   EntryRef adopt(EntryData data, std::vector<uint8_t> bytes, uint64_t key);
   void forget(const EntryRecord* record);
 
   std::unordered_multimap<uint64_t, EntryRecord*> records_;  // by pool_key_
+  // Per node id, the record decode() last returned for it. Every hinted
+  // record is in records_.
+  std::unordered_map<NodeId, EntryRecord*> hints_;
 };
 
 // pool->decode(r), or an unpooled record when `pool` is null.

@@ -266,6 +266,13 @@ std::optional<Message> decode_message(const uint8_t* data, size_t size,
         if (r.u8() != 0) {
           record.entry = decode_entry_ref(r, pool);
           if (!record.entry) return std::nullopt;
+          // A join announces its own row: one naming another node or life
+          // would be applied under one id and looked up under the other.
+          if (record.kind == UpdateKind::kJoin &&
+              (record.entry->node != record.subject ||
+               record.entry->incarnation != record.incarnation)) {
+            return std::nullopt;
+          }
         }
         m.records.push_back(std::move(record));
       }

@@ -87,7 +87,9 @@ struct UpdateRecord {
   // stamped into the origin's stream. A piggybacked leave stamped under a
   // superseded epoch is stale replay and must not purge anyone.
   Epoch epoch = 0;
-  EntryRef entry;  // present for joins, null for leaves
+  // A join's row, naming `subject` and `incarnation` (decode rejects a
+  // join whose row names another); null for leaves.
+  EntryRef entry;
 };
 
 // Update message: the origin's newest records, newest first. The tail

@@ -90,10 +90,7 @@ std::string WireReader::str() {
   return s;
 }
 
-void WireReader::skip_str() {
-  uint64_t size = varint();
-  if (take(size)) pos_ += size;
-}
+void WireReader::skip_str() { skip(varint()); }
 
 void write_string_map(WireWriter& w,
                       const std::map<std::string, std::string>& m) {

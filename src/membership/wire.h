@@ -62,6 +62,10 @@ class WireReader {
   std::string str();
   // Consumes a string exactly as str() would, without building it.
   void skip_str();
+  // Consumes `n` bytes without reading them; fails like any short read.
+  void skip(size_t n) {
+    if (take(n)) pos_ += n;
+  }
 
   bool ok() const { return ok_; }
   size_t remaining() const { return size_ - pos_; }

@@ -371,14 +371,11 @@ class HierDaemon : public MembershipDaemon {
   void serve_image(membership::NodeId requester, membership::BusyKind kind,
                    Response& response);
   std::vector<membership::EntryRef> full_view() const;
-  membership::NodeId provenance_tag(membership::NodeId subject,
-                                    membership::NodeId proposed) const;
   void absorb_entries(const std::vector<membership::EntryRef>& entries,
                       membership::NodeId relayed_by, int arrival_level);
-  // Applies a second-hand copy of `subject`'s row, notifying an add; true
-  // when the local view changed.
-  bool apply_relayed(membership::NodeId subject,
-                     const membership::EntryRef& entry,
+  // Applies a second-hand copy of a row, notifying an add; true when the
+  // local view changed.
+  bool apply_relayed(const membership::EntryRef& entry,
                      membership::NodeId relayed_by);
   void reconcile_with_image(membership::NodeId responder,
                             const std::vector<membership::EntryRef>& entries,

@@ -27,6 +27,90 @@ std::vector<uint8_t> encoded(const membership::EntryData& data) {
   return w.take();
 }
 
+// Decodes one whole encoded row through `pool`.
+membership::EntryRef decode_from(membership::EntryPool& pool,
+                                 const std::vector<uint8_t>& bytes) {
+  membership::WireReader r(bytes);
+  membership::EntryRef ref = pool.decode(r);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  return ref;
+}
+
+// --- the per-node decode hint -------------------------------------------
+
+TEST(EntryPoolHint, UnchangedRowDecodesToTheSameRecord) {
+  membership::EntryPool pool;
+  const auto bytes = encoded(membership::make_representative_entry(9, 2));
+  const membership::EntryRef first = decode_from(pool, bytes);
+  ASSERT_TRUE(first);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(decode_from(pool, bytes).record(), first.record());
+  }
+  EXPECT_EQ(pool.live_records(), 1u);
+  EXPECT_EQ(pool.live_bytes(), bytes.size());
+}
+
+TEST(EntryPoolHint, ChangedRowMissesTheHintAndGetsItsOwnRecord) {
+  membership::EntryPool pool;
+  membership::EntryData data = membership::make_representative_entry(9, 2);
+  const auto old_bytes = encoded(data);
+  const membership::EntryRef old_row = decode_from(pool, old_bytes);
+  data.values["load"] = "0.4";
+  const auto new_bytes = encoded(data);
+  const membership::EntryRef new_row = decode_from(pool, new_bytes);
+  ASSERT_TRUE(new_row);
+  EXPECT_NE(new_row.record(), old_row.record());
+  EXPECT_EQ(*new_row, data);
+  EXPECT_EQ(new_row.bytes(), new_bytes);
+  EXPECT_EQ(pool.live_records(), 2u);
+  // The new row is the hint now; the old one is still pooled.
+  EXPECT_EQ(decode_from(pool, new_bytes).record(), new_row.record());
+  EXPECT_EQ(decode_from(pool, old_bytes).record(), old_row.record());
+  EXPECT_EQ(pool.live_records(), 2u);
+}
+
+// Every cut inside the hinted row's bytes is rejected exactly as
+// decode_entry rejects it: a null ref, a failed reader, nothing interned.
+TEST(EntryPoolHint, InputCutInsideTheHintedRowIsRejected) {
+  membership::EntryPool pool;
+  const auto bytes = encoded(membership::make_representative_entry(9, 2));
+  const membership::EntryRef held = decode_from(pool, bytes);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    membership::WireReader plain(bytes.data(), len);
+    EXPECT_FALSE(membership::decode_entry(plain).has_value());
+    membership::WireReader hinted(bytes.data(), len);
+    EXPECT_FALSE(pool.decode(hinted)) << "len " << len;
+    EXPECT_FALSE(hinted.ok()) << "len " << len;
+    EXPECT_EQ(hinted.remaining(), plain.remaining()) << "len " << len;
+    EXPECT_EQ(pool.live_records(), 1u) << "len " << len;
+  }
+  // The hint survives the rejects.
+  EXPECT_EQ(decode_from(pool, bytes).record(), held.record());
+}
+
+// The hint does not keep its record alive: once the last handle goes, the
+// record leaves the pool and the hint with it (AddressSanitizer flags any
+// later read through a stale hint). Decoding the row again builds it anew.
+TEST(EntryPoolHint, ReleasedRecordLeavesTheHint) {
+  membership::EntryPool pool;
+  const membership::EntryData data =
+      membership::make_representative_entry(9, 2);
+  const auto bytes = encoded(data);
+  {
+    const membership::EntryRef row = decode_from(pool, bytes);
+    ASSERT_TRUE(row);
+  }
+  EXPECT_EQ(pool.live_records(), 0u);
+  const membership::EntryRef again = decode_from(pool, bytes);
+  ASSERT_TRUE(again);
+  EXPECT_EQ(*again, data);
+  EXPECT_EQ(pool.live_records(), 1u);
+  // A row of another node that was never hinted decodes as usual too.
+  const auto other = encoded(membership::make_representative_entry(10, 2));
+  EXPECT_NE(decode_from(pool, other).record(), again.record());
+}
+
 TEST(EntryPoolLifetime, EachSimulationHasItsOwnPool) {
   sim::Simulation a(1);
   sim::Simulation b(1);

@@ -81,6 +81,40 @@ TEST(Messages, UpdateRoundTrip) {
   EXPECT_EQ(out.records[1].epoch, 4u);
 }
 
+// A join record announces its own row. One whose row names another node or
+// another life of the subject is malformed: the frame is rejected, pooled
+// or not, and only an exact match is accepted. A leave's subject and
+// incarnation stand alone.
+TEST(Messages, JoinRecordNamingAnotherRowIsRejected) {
+  EntryPool pool;
+  auto decodes = [&](NodeId subject, Incarnation incarnation,
+                     const EntryRef& entry, UpdateKind kind) {
+    UpdateMsg msg;
+    msg.origin = 3;
+    UpdateRecord record;
+    record.kind = kind;
+    record.subject = subject;
+    record.incarnation = incarnation;
+    record.entry = entry;
+    msg.records = {record};
+    auto payload = encode_message(Message{msg});
+    const bool plain =
+        decode_message(payload->data(), payload->size()).has_value();
+    const bool pooled =
+        decode_message(payload->data(), payload->size(), &pool).has_value();
+    EXPECT_EQ(plain, pooled);
+    return plain;
+  };
+  EXPECT_TRUE(decodes(7, 2, row(7, 2), UpdateKind::kJoin));
+  EXPECT_FALSE(decodes(7, 2, row(8, 2), UpdateKind::kJoin));  // other node
+  EXPECT_FALSE(decodes(7, 2, row(7, 3), UpdateKind::kJoin));  // other life
+  EXPECT_FALSE(decodes(7, 3, row(7, 2), UpdateKind::kJoin));
+  EXPECT_FALSE(decodes(7, 2, row(8, 9), UpdateKind::kJoin));  // both
+  EXPECT_TRUE(decodes(7, 2, EntryRef(), UpdateKind::kJoin));
+  EXPECT_TRUE(decodes(8, 1, EntryRef(), UpdateKind::kLeave));
+  EXPECT_EQ(pool.live_records(), 0u);  // nothing outlives the decodes
+}
+
 TEST(Messages, BootstrapRoundTrip) {
   BootstrapRequestMsg request;
   request.requester = 5;

@@ -68,6 +68,7 @@ TEST(WireFuzz, WrongVersionByteAlwaysRejected) {
   record.seq = 1;
   record.kind = membership::UpdateKind::kJoin;
   record.subject = 7;
+  record.incarnation = 1;
   record.entry = membership::EntryRef(membership::make_representative_entry(7));
   update.records.push_back(std::move(record));
   auto payload = membership::encode_message(membership::Message{update});
@@ -149,8 +150,8 @@ TEST(WireFuzz, RandomUpdateMessagesRoundTrip) {
       record.incarnation = rng.next_u64();
       if (rng.bernoulli(0.5)) {
         record.kind = membership::UpdateKind::kJoin;
-        record.entry = membership::EntryRef(
-            membership::make_representative_entry(record.subject, 1));
+        record.entry = membership::EntryRef(membership::make_representative_entry(
+            record.subject, record.incarnation));
       } else {
         record.kind = membership::UpdateKind::kLeave;
       }
@@ -572,6 +573,117 @@ TEST(WireFuzz, InterningDecodeAgreesWithDecodeEntry) {
   EXPECT_EQ(pool.live_records(), baseline);
 }
 
+// The pool's per-node hint answers a row it returned before with one
+// compare. Mutating the bytes of hinted records (and of the bytes after
+// them, which a hit must not read as part of the row) checks that the
+// hinted decode still agrees with decode_entry: the same verdict, the same
+// bytes consumed, equal rows, and nothing interned on a reject.
+TEST(WireFuzz, HintedDecodeAgreesWithDecodeEntry) {
+  util::Rng rng(14);
+  membership::EntryPool pool;
+  std::vector<membership::EntryRef> held;
+  std::vector<std::vector<uint8_t>> corpus;
+  for (membership::NodeId node : {2u, 77u, 4096u}) {
+    membership::EntryData data = membership::make_representative_entry(node, 5);
+    if (node == 77) data.values.clear();
+    membership::WireWriter w;
+    membership::encode_entry(w, data);
+    for (int i = 0; i < 16; ++i) w.u8(static_cast<uint8_t>(i));  // trailer
+    corpus.push_back(w.take());
+    membership::WireReader r(corpus.back());
+    held.push_back(pool.decode(r));  // sets the hint
+    ASSERT_TRUE(held.back());
+  }
+  const size_t baseline = pool.live_records();
+
+  auto check = [&](const std::vector<uint8_t>& bytes, size_t len) {
+    membership::WireReader plain(bytes.data(), len);
+    std::optional<membership::EntryData> want = membership::decode_entry(plain);
+    membership::WireReader hinted(bytes.data(), len);
+    membership::EntryRef got = pool.decode(hinted);
+    ASSERT_EQ(static_cast<bool>(got), want.has_value()) << "len " << len;
+    ASSERT_EQ(hinted.ok(), plain.ok());
+    ASSERT_EQ(hinted.remaining(), plain.remaining());
+    if (!got) {
+      EXPECT_EQ(pool.live_records(), baseline) << "rejected row interned";
+      return;
+    }
+    EXPECT_EQ(*got, *want);
+    membership::WireWriter w;
+    membership::encode_entry(w, *want);
+    EXPECT_EQ(got.bytes(), w.view());
+  };
+
+  for (size_t c = 0; c < corpus.size(); ++c) {
+    const auto& bytes = corpus[c];
+    for (size_t len = 0; len <= bytes.size(); ++len) check(bytes, len);
+    for (int i = 0; i < 5000; ++i) {
+      // Half the time re-arm the hint: a mutated row that was accepted
+      // moved it to its own record, which is gone again by now.
+      if (rng.bernoulli(0.5)) {
+        membership::WireReader r(bytes);
+        ASSERT_EQ(pool.decode(r).record(), held[c].record());
+      }
+      std::vector<uint8_t> mutated(bytes);
+      int flips = 1 + static_cast<int>(rng.uniform_u64(4));
+      for (int f = 0; f < flips; ++f) {
+        size_t pos = rng.uniform_u64(mutated.size());
+        mutated[pos] ^= static_cast<uint8_t>(1u << rng.uniform_u64(8));
+      }
+      const size_t len = rng.bernoulli(0.2) ? rng.uniform_u64(mutated.size())
+                                            : mutated.size();
+      check(mutated, len);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(pool.live_records(), baseline);
+}
+
+// A join record carries its subject's own row. Frames whose join rows name
+// another node or life are rejected, with or without a pool; everything
+// else about the frame decodes as before.
+TEST(WireFuzz, MismatchedJoinRecordsRejected) {
+  util::Rng rng(15);
+  membership::EntryPool pool;
+  int rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    membership::UpdateMsg msg;
+    msg.origin = 1;
+    bool mismatched = false;
+    const size_t records = 1 + rng.uniform_u64(4);
+    for (size_t r = 0; r < records; ++r) {
+      membership::UpdateRecord record;
+      record.seq = r;
+      record.subject = static_cast<membership::NodeId>(rng.uniform_u64(50));
+      record.incarnation = 1 + rng.uniform_u64(3);
+      record.kind = rng.bernoulli(0.7) ? membership::UpdateKind::kJoin
+                                       : membership::UpdateKind::kLeave;
+      membership::NodeId node = record.subject;
+      membership::Incarnation incarnation = record.incarnation;
+      if (rng.bernoulli(0.1)) {
+        node ^= 1 + static_cast<membership::NodeId>(rng.uniform_u64(7));
+      }
+      if (rng.bernoulli(0.1)) incarnation += 1 + rng.uniform_u64(2);
+      if (record.kind == membership::UpdateKind::kJoin) {
+        mismatched |=
+            node != record.subject || incarnation != record.incarnation;
+        record.entry = membership::EntryRef(
+            membership::make_representative_entry(node, incarnation));
+      }
+      msg.records.push_back(std::move(record));
+    }
+    auto payload = membership::encode_message(membership::Message{msg});
+    auto plain = membership::decode_message(payload->data(), payload->size());
+    auto pooled =
+        membership::decode_message(payload->data(), payload->size(), &pool);
+    ASSERT_EQ(plain.has_value(), !mismatched) << "message " << i;
+    ASSERT_EQ(pooled.has_value(), !mismatched) << "message " << i;
+    if (mismatched) ++rejected;
+  }
+  EXPECT_GT(rejected, 100);
+  EXPECT_EQ(pool.live_records(), 0u);
+}
+
 // Whole messages agree too: decoding with and without a pool accepts the
 // same frames and yields equal rows.
 TEST(WireFuzz, PooledMessageDecodeAgreesWithUnpooled) {
@@ -583,6 +695,7 @@ TEST(WireFuzz, PooledMessageDecodeAgreesWithUnpooled) {
     membership::UpdateRecord record;
     record.seq = node;
     record.subject = node;
+    record.incarnation = 1;
     record.entry = pool.intern(membership::make_representative_entry(node));
     update.records.push_back(std::move(record));
   }

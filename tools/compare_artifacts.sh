@@ -9,6 +9,9 @@
 #   * the full chaos grid (all schemes, shapes and plans, seeds 1-3) once per
 #     --hier-anti-entropy mode (full, digest), writing stdout, the --trace
 #     JSONL and the --metrics JSON;
+#   * the 48-node hierarchical slice CI runs (all shapes and plans, seeds
+#     1-3) once per mode, with the same three outputs. At 12 nodes few
+#     scenarios run multi-rack digest rounds; at 48 most do;
 #   * the slo_churn slate with --jobs=8 --json;
 # then cmp's every output pair and names the first scenario that differs.
 # The CHANGE_BUILD slo_churn JSON is also compared with the committed
@@ -45,6 +48,11 @@ run_build() {
       --runs=3 --jobs="$jobs" --hier-anti-entropy="$mode" \
       --trace="$dest/trace-$mode.jsonl" --metrics="$dest/metrics-$mode.json" \
       > "$dest/stdout-$mode.txt" || true
+    "$build/bench/chaos_soak" --scheme=hierarchical --shape=all --plan=all \
+      --seed=1 --runs=3 --nodes=48 --jobs="$jobs" --hier-anti-entropy="$mode" \
+      --trace="$dest/trace48-$mode.jsonl" \
+      --metrics="$dest/metrics48-$mode.json" \
+      > "$dest/stdout48-$mode.txt" || true
   done
   "$build/bench/slo_churn" --jobs=8 --json="$dest/slo.json" \
     > "$dest/slo-stdout.txt"
@@ -86,6 +94,8 @@ run_build "$change" "$out/change"
 
 for file in stdout-full.txt trace-full.jsonl metrics-full.json \
             stdout-digest.txt trace-digest.jsonl metrics-digest.json \
+            stdout48-full.txt trace48-full.jsonl metrics48-full.json \
+            stdout48-digest.txt trace48-digest.jsonl metrics48-digest.json \
             slo.json slo-stdout.txt; do
   compare "$out/parent/$file" "$out/change/$file"
 done
