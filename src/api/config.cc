@@ -53,18 +53,6 @@ bool apply_system_key(SystemConfig& system, const std::string& key,
     system.mcast_freq = *v;
     return true;
   }
-  if (upper == "ANTI_ENTROPY_MODE") {
-    system.anti_entropy_mode = to_lower(value);
-    return true;  // vocabulary enforced once, in validate()
-  }
-  if (upper == "DIGEST_INTERVAL") {
-    auto v = parse_double(value);
-    if (!v || *v < 0) {
-      return set_error(error, line, "expected non-negative number for " + key);
-    }
-    system.digest_interval = *v;
-    return true;
-  }
   if (upper == "DIGEST_MAX_ROWS_PER_DELTA") {
     return need_int(system.digest_max_rows_per_delta);
   }
@@ -185,15 +173,6 @@ Status validate(const MembershipConfig& config) {
   }
   if ((sys.trace_kinds_mask & ~obs::kAllTraceKinds) != 0) {
     return Status::Error("trace_kinds_mask names unknown trace kinds");
-  }
-  if (sys.anti_entropy_mode != "full" && sys.anti_entropy_mode != "digest") {
-    return Status::Error("ANTI_ENTROPY_MODE must be 'full' or 'digest', got '" +
-                         sys.anti_entropy_mode + "'");
-  }
-  if (!(sys.digest_interval >= 0 && sys.digest_interval <= 3600)) {
-    return Status::Error(
-        strformat("DIGEST_INTERVAL must be in [0, 3600] seconds, got %g",
-                  sys.digest_interval));
   }
   if (sys.digest_max_rows_per_delta < 1 ||
       sys.digest_max_rows_per_delta > 65536) {

@@ -48,13 +48,8 @@ struct SystemConfig {
   bool metrics_enabled = true;
   size_t trace_capacity = size_t{1} << 16;
   uint64_t trace_kinds_mask = obs::kAllTraceKinds;
-  // Anti-entropy. "full" re-announces the whole refresh scope every
-  // interval; "digest" ships per-subtree digests first and only the
-  // divergent rows. DIGEST_INTERVAL seconds (0 = reuse the refresh cadence)
-  // and DIGEST_MAX_ROWS_PER_DELTA bound one delta before the full-image
-  // backstop takes over.
-  std::string anti_entropy_mode = "full";
-  double digest_interval = 0.0;
+  // Digest anti-entropy: DIGEST_MAX_ROWS_PER_DELTA bounds one delta before
+  // the full-image backstop takes over.
   int digest_max_rows_per_delta = 64;
 };
 
@@ -74,10 +69,9 @@ struct MembershipConfig {
 std::optional<MembershipConfig> parse_config(std::string_view text,
                                              std::string* error = nullptr);
 
-// Checks ranges, the ANTI_ENTROPY_MODE vocabulary and every service's name
-// and PARTITION spec. MService runs it on every construction path and on
-// every control() parameter change, so a configuration that fails it never
-// reaches a daemon.
+// Checks ranges and every service's name and PARTITION spec. MService runs
+// it on every construction path and on every control() parameter change, so
+// a configuration that fails it never reaches a daemon.
 Status validate(const MembershipConfig& config);
 
 // Maps a dotted-quad multicast address to a simulator channel id (stable

@@ -150,11 +150,6 @@ int MService::run() {
   hier.max_ttl = config_.system.max_ttl;
   hier.period = static_cast<sim::Duration>(1e9 / config_.system.mcast_freq);
   hier.max_losses = config_.system.max_loss;
-  hier.anti_entropy_mode = config_.system.anti_entropy_mode == "digest"
-                               ? protocols::AntiEntropyMode::kDigest
-                               : protocols::AntiEntropyMode::kFull;
-  hier.digest_interval =
-      static_cast<sim::Duration>(config_.system.digest_interval * 1e9);
   hier.digest_max_rows_per_delta = config_.system.digest_max_rows_per_delta;
 
   membership::EntryData own = membership::make_representative_entry(self_, 1);

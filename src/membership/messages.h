@@ -213,10 +213,10 @@ struct GossipMsg {
 
 // --- incremental anti-entropy (v3 digest exchange) ----------------------
 //
-// A leader's periodic refresh in digest mode summarizes its view instead of
-// resending it: rows are bucketed by hash(subject) and each bucket carries
-// the XOR of its rows' content hashes (order-independent, so sender and
-// receiver need not iterate identically). A receiver whose buckets all
+// A leader's periodic refresh summarizes its view instead of resending it:
+// rows are bucketed by hash(subject) and each bucket carries the XOR of its
+// rows' content hashes (order-independent, so sender and receiver need not
+// iterate identically). A receiver whose buckets all
 // match just touches the covered rows' freshness; mismatched buckets cost
 // one unicast pull (row summaries only) plus one delta carrying the rows
 // that actually differ. The full-image sync path survives solely as the
@@ -236,7 +236,7 @@ inline constexpr size_t kMaxDigestSubjects = size_t{1} << 20;
 // node ids spread across buckets instead of striping.
 size_t digest_bucket_of(NodeId node, size_t bucket_count);
 
-// Multicast digest: replaces the full-view refresh broadcast. `subtree`
+// Multicast digest, a leader's periodic refresh. `subtree`
 // distinguishes the upward subtree summary (level L leader reporting its
 // subtree into the L+1 group) from the downward full-view summary.
 struct RefreshDigestMsg {

@@ -75,7 +75,7 @@ HierDaemon::HierDaemon(sim::Simulation& sim, net::Network& net, NodeId self,
       heartbeat_timer_(sim, config.period, [this] { heartbeat_tick(); }),
       scan_timer_(sim, kScanInterval, [this] { scan_tick(); }),
       refresh_timer_(sim,
-                     anti_entropy_interval() > 0 ? anti_entropy_interval()
+                     config.refresh_interval > 0 ? config.refresh_interval
                                                  : sim::kSecond,
                      [this] { refresh_tick(); }),
       topo_poll_timer_(sim,
@@ -201,7 +201,7 @@ void HierDaemon::start() {
             [this](const net::Packet& p) { on_control_packet(p); });
   heartbeat_timer_.start_with_random_phase();
   scan_timer_.start_with_random_phase();
-  if (anti_entropy_interval() > 0) refresh_timer_.start_with_random_phase();
+  if (config_.refresh_interval > 0) refresh_timer_.start_with_random_phase();
   if (config_.topology_poll_interval > 0) {
     topo_epoch_seen_ = net_.topology().epoch();
     topo_poll_timer_.start_with_random_phase();
@@ -339,12 +339,11 @@ void HierDaemon::heartbeat_tick() {
     table_.demote_to_relayed(id, membership::kInvalidNode);
   }
   // Relayed entries are soft state refreshed by the relay chain's periodic
-  // anti-entropy (refresh_tick): an entry nobody re-announces within the
-  // refresh horizon is stale — drop it. This is what eventually clears
-  // entries resurrected by packet reordering or late replays under loss.
-  // In digest mode the "re-announcement" is the digest/delta touch, so the
-  // horizon follows whichever anti-entropy interval is in effect.
-  const sim::Duration refresh = anti_entropy_interval();
+  // anti-entropy (refresh_tick): an entry no digest or delta vouches for
+  // within the refresh horizon is stale — drop it. This is what eventually
+  // clears entries resurrected by packet reordering or late replays under
+  // loss.
+  const sim::Duration refresh = config_.refresh_interval;
   sim::Duration orphan_timeout = 2 * level_timeout(config_.max_ttl - 1);
   if (refresh > 0) {
     orphan_timeout = std::max(
@@ -1135,15 +1134,7 @@ void HierDaemon::send_state_refresh(int level, bool subtree_only) {
   emit_batch(level, batch);
 }
 
-// --- incremental anti-entropy (digest mode) ---------------------------------
-
-sim::Duration HierDaemon::anti_entropy_interval() const {
-  if (config_.anti_entropy_mode == AntiEntropyMode::kDigest &&
-      config_.digest_interval > 0) {
-    return config_.digest_interval;
-  }
-  return config_.refresh_interval;
-}
+// --- digest anti-entropy ----------------------------------------------------
 
 void HierDaemon::send_refresh_digest(int level, bool subtree) {
   LevelState& ls = level_state(level);
@@ -1284,7 +1275,7 @@ void HierDaemon::on_refresh_pull(const RefreshPullMsg& msg) {
   }
   // Rows the requester listed that we do not hold in scope are deliberately
   // neither shipped nor confirmed: unrefreshed, they age into orphan expiry
-  // at the requester — the digest-mode form of lost-LEAVE repair.
+  // at the requester — the digest exchange's form of lost-LEAVE repair.
   metrics_.delta_rows_shipped->add(delta.entries.size());
   metrics_.digest_rows_suppressed->add(delta.confirmed.size());
   metrics_.deltas_sent->add();
@@ -1440,20 +1431,17 @@ bool HierDaemon::apply_relayed(const EntryRef& entry, NodeId relayed_by) {
 }
 
 void HierDaemon::refresh_tick() {
-  // Digest mode ships a summary instead of the rows; event-driven re-seeds
-  // elsewhere (become_leader, repel_stale_claim) stay on the full path,
-  // where the receivers provably need the whole image.
-  const auto refresh = config_.anti_entropy_mode == AntiEntropyMode::kDigest
-                           ? &HierDaemon::send_refresh_digest
-                           : &HierDaemon::send_state_refresh;
+  // A digest round ships a summary instead of the rows; event-driven
+  // re-seeds elsewhere (become_leader, repel_stale_claim) send the full
+  // view, where the receivers provably need the whole image.
   for (int l = 0; l < config_.max_ttl; ++l) {
     if (!levels_[l]->joined || !levels_[l]->i_am_leader) continue;
     // Anti-entropy into the group this node leads, and upward into the
     // parent group it represents that subtree in: every relayed entry in
-    // the cluster is re-announced along its chain once per interval, so
+    // the cluster is vouched for along its chain once per interval, so
     // freshness genuinely means "still being relayed".
-    (this->*refresh)(l, /*subtree_only=*/false);
-    if (joined(l + 1)) (this->*refresh)(l + 1, /*subtree_only=*/true);
+    send_refresh_digest(l, /*subtree=*/false);
+    if (joined(l + 1)) send_refresh_digest(l + 1, /*subtree=*/true);
   }
 }
 

@@ -56,11 +56,12 @@
 
 namespace tamp::protocols {
 
-// How leaders run their periodic anti-entropy refresh. kFull re-multicasts
-// the whole view as join records (the original behavior); kDigest sends a
-// compact bucketed summary first and ships only rows receivers actually
-// disagree on, demoting the full-image path to a truncation backstop.
-enum class AntiEntropyMode : uint8_t { kFull = 0, kDigest = 1 };
+// Leaders run their periodic anti-entropy refresh as a digest exchange: a
+// compact bucketed summary first, then only the rows receivers actually
+// disagree on, with the full-image sync as the truncation backstop. kDigest
+// is the only mode; the enum and HierConfig::anti_entropy_mode remain so
+// existing code that selects digest mode explicitly keeps compiling.
+enum class AntiEntropyMode : uint8_t { kDigest };
 
 struct HierConfig {
   net::ChannelId base_channel = kBaseChannel;
@@ -79,23 +80,19 @@ struct HierConfig {
   sim::Duration join_listen = 2500 * sim::kMillisecond;
   int piggyback = 3;          // previous updates carried by each update msg
   size_t heartbeat_pad = 0;   // fixed heartbeat size (0 = natural size)
-  // Leaders periodically re-multicast their full view into the groups they
-  // lead (anti-entropy backstop; repairs anything event-driven updates
-  // missed, e.g. after a healed partition). 0 disables.
+  // Period of the leaders' digest anti-entropy rounds into the groups they
+  // lead (repairs anything event-driven updates missed, e.g. after a healed
+  // partition). Relayed rows nobody vouches for within about two rounds
+  // expire. 0 disables.
   sim::Duration refresh_interval = 30 * sim::kSecond;
   // Full-image serves (bootstrap + sync responses) admitted per `period`;
   // overflow is answered with BusyMsg{retry_after} so a mass join or healed
   // partition cannot turn a leader into an O(joiners) response burst.
   // 0 = unlimited.
   size_t image_serve_budget = 8;
-  // Incremental anti-entropy (see AntiEntropyMode). Event-driven re-seeds
-  // (become_leader, repelled stale claims) always use the full path — only
-  // the periodic refresh_tick switches on the mode.
-  AntiEntropyMode anti_entropy_mode = AntiEntropyMode::kFull;
-  // Period of the digest exchange; 0 means "same as refresh_interval".
-  // Digest rounds are cheap enough to run more often than full refreshes —
-  // the orphan-expiry horizon follows whichever interval is in effect.
-  sim::Duration digest_interval = 0;
+  // Has the one value kDigest (see AntiEntropyMode). Event-driven re-seeds
+  // (become_leader, repelled stale claims) still ship the full view.
+  AntiEntropyMode anti_entropy_mode = AntiEntropyMode::kDigest;
   // Divergent rows one RefreshDeltaMsg may carry. A delta clipped at this
   // cap is marked truncated and the receiver escalates to the full-image
   // sync path (which sits behind image_serve_budget).
@@ -328,13 +325,10 @@ class HierDaemon : public MembershipDaemon {
                   const std::vector<membership::UpdateRecord>& batch);
   void send_state_refresh(int level, bool subtree_only = false);
 
-  // --- incremental anti-entropy (digest mode) -----------------------------
-  // The interval the periodic refresh (and the orphan-expiry horizon)
-  // actually runs at: digest_interval in digest mode when set, else
-  // refresh_interval. 0 disables the periodic refresh entirely.
-  sim::Duration anti_entropy_interval() const;
-  // The rows a refresh of `level` covers — the same scope full refresh
-  // ships: the whole view downward, the represented subtree upward.
+  // --- digest anti-entropy ------------------------------------------------
+  // The rows a refresh of `level` covers, for both the digest and the
+  // event-driven full re-seed: the whole view downward, the represented
+  // subtree upward.
   std::vector<const membership::MembershipEntry*> refresh_scope(
       int level, bool subtree_only) const;
   // Scope a digest *receiver* compares against. Downward digests cover the

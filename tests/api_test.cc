@@ -314,22 +314,12 @@ TEST(ConfigValidate, RejectsOutOfRangeValues) {
 
 TEST(ConfigValidate, AntiEntropyKnobsValidateAndFlowThrough) {
   MembershipConfig config;
-  config.system.anti_entropy_mode = "digest";
-  config.system.digest_interval = 15.0;
   config.system.digest_max_rows_per_delta = 128;
   Status status = validate(config);
   ASSERT_TRUE(status.ok()) << status.message();
 
-  // Defaults keep full-view refresh.
-  EXPECT_EQ(MembershipConfig{}.system.anti_entropy_mode, "full");
-
   using C = MembershipConfig;
   expect_each_rejected<C>({
-      [](C& c) { c.system.anti_entropy_mode = "gossip"; },
-      [](C& c) { c.system.anti_entropy_mode = ""; },
-      [](C& c) { c.system.digest_interval = -1.0; },
-      [](C& c) { c.system.digest_interval = 3601.0; },
-      [](C& c) { c.system.digest_interval = kNaN; },
       [](C& c) { c.system.digest_max_rows_per_delta = 0; },
       [](C& c) { c.system.digest_max_rows_per_delta = 65537; },
   });
@@ -338,22 +328,19 @@ TEST(ConfigValidate, AntiEntropyKnobsValidateAndFlowThrough) {
 TEST(ConfigValidate, AntiEntropyKeysParseFromFigureSevenText) {
   auto config = parse_config(
       "*SYSTEM\n"
-      "ANTI_ENTROPY_MODE = Digest\n"  // case-folded
-      "DIGEST_INTERVAL = 20\n"
       "DIGEST_MAX_ROWS_PER_DELTA = 32\n");
   ASSERT_TRUE(config.has_value());
   Status status = validate(*config);
   ASSERT_TRUE(status.ok()) << status.message();
-  EXPECT_EQ(config->system.anti_entropy_mode, "digest");
-  EXPECT_DOUBLE_EQ(config->system.digest_interval, 20.0);
   EXPECT_EQ(config->system.digest_max_rows_per_delta, 32);
 
-  // The parser accepts any mode word; validate() enforces the vocabulary.
-  auto sometimes = parse_config("*SYSTEM\nANTI_ENTROPY_MODE = sometimes\n");
-  ASSERT_TRUE(sometimes.has_value());
-  EXPECT_FALSE(validate(*sometimes).ok());
+  // A key the *SYSTEM section does not define is rejected by name.
+  std::string error;
+  EXPECT_FALSE(
+      parse_config("*SYSTEM\nREFRESH_MODE = digest\n", &error).has_value());
+  EXPECT_NE(error.find("unknown *SYSTEM key REFRESH_MODE"), std::string::npos)
+      << error;
   // Malformed numbers fail in the parser already.
-  EXPECT_FALSE(parse_config("*SYSTEM\nDIGEST_INTERVAL = -3\n").has_value());
   EXPECT_FALSE(
       parse_config("*SYSTEM\nDIGEST_MAX_ROWS_PER_DELTA = 1.5\n").has_value());
   // An integer outside int range is malformed, not wrapped.
@@ -432,8 +419,8 @@ TEST(ApiStandalone, MalformedConfigFallsBackToDefaults) {
     EXPECT_EQ(service.config().system.max_ttl, defaults.max_ttl);
     EXPECT_EQ(service.config().system.mcast_port, defaults.mcast_port);
     EXPECT_EQ(service.config().system.max_loss, defaults.max_loss);
-    EXPECT_EQ(service.config().system.anti_entropy_mode,
-              defaults.anti_entropy_mode);
+    EXPECT_EQ(service.config().system.digest_max_rows_per_delta,
+              defaults.digest_max_rows_per_delta);
     EXPECT_TRUE(service.config().services.empty());
     EXPECT_EQ(service.run(), 0);
     EXPECT_EQ(service.daemon().config().max_ttl, defaults.max_ttl);
@@ -445,7 +432,7 @@ TEST(ApiStandalone, MalformedConfigFallsBackToDefaults) {
       "*SYSTEM\nMAX_TTL = 0\n",
       "*SYSTEM\nMCAST_PORT = 65535\n",
       "*SYSTEM\nMAX_LOSS = 0\n",
-      "*SYSTEM\nANTI_ENTROPY_MODE = bogus\n",
+      "*SYSTEM\nDIGEST_MAX_ROWS_PER_DELTA = 0\n",
       "*SERVICE\n[HTTP]\nPARTITION = 4-2\n",
   };
   for (const char* text : bad_files) {

@@ -16,7 +16,6 @@ namespace {
 Cluster::Options digest_options() {
   Cluster::Options opts;
   opts.scheme = Scheme::kHierarchical;
-  opts.hier.anti_entropy_mode = AntiEntropyMode::kDigest;
   opts.hier.refresh_interval = 10 * sim::kSecond;
   return opts;
 }

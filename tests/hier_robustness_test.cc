@@ -377,6 +377,77 @@ TEST_F(RobustnessFixture, AntiEntropyRepairsSilentDivergence) {
   EXPECT_TRUE(cluster->converged());
 }
 
+// Cuts every frame that could tell a set of receivers about rows they lack
+// (update streams, the sync exchange and the digest exchange) while leaving
+// heartbeats, elections and bootstraps alone.
+class MuteRepairPaths : public net::FaultInjector {
+ public:
+  Verdict verdict(const net::Packet& p) override {
+    Verdict v;
+    if (!on || !deaf.contains(p.to.host) || p.size() < 2) return v;
+    using T = membership::MessageType;
+    const auto t = static_cast<T>(p.data()[1]);
+    v.cut = t == T::kUpdate || t == T::kSyncRequest || t == T::kSyncResponse ||
+            t == T::kRefreshDigest || t == T::kRefreshPull ||
+            t == T::kRefreshDelta;
+    return v;
+  }
+
+  std::set<net::HostId> deaf;
+  bool on = false;
+};
+
+// A delta clipped at digest_max_rows_per_delta escalates to the full-image
+// sync. Two racks miss the rejoin of four rack-2 members while every repair
+// path into them is cut, long enough that their sync polls exhaust and
+// their stream cursors anchor past the gap. After the cut only the digest
+// rounds know about the four rows. With one row per delta they would need
+// four rounds; the truncated delta's escalation repairs all of them in one.
+TEST_F(RobustnessFixture, TruncatedDeltaEscalatesToFullImageSync) {
+  constexpr sim::Duration kRound = 10 * sim::kSecond;
+  Cluster::Options opts;
+  opts.hier.refresh_interval = kRound;
+  opts.hier.digest_max_rows_per_delta = 1;
+  build(3, 6, opts);
+  auto fallbacks = [&] {
+    uint64_t total = 0;
+    for (size_t i = 0; i < cluster->size(); ++i) {
+      total += hier_counter(cluster->hier_daemon(i), "digest_full_fallbacks");
+    }
+    return total;
+  };
+
+  std::vector<size_t> rejoiners;
+  for (size_t k = 2; k < 6; ++k) {
+    rejoiners.push_back(index_of(layout.racks[2][k]));
+  }
+  for (size_t i : rejoiners) cluster->kill(i);
+  sim.run_until(sim.now() + 15 * sim::kSecond);
+  ASSERT_TRUE(cluster->converged());
+
+  MuteRepairPaths mute;
+  for (size_t rack : {0, 1}) {
+    mute.deaf.insert(layout.racks[rack].begin(), layout.racks[rack].end());
+  }
+  net->set_fault_injector(&mute);
+  mute.on = true;
+  for (size_t i : rejoiners) cluster->restart(i);
+  sim.run_until(sim.now() + 3 * kRound);
+  mute.on = false;
+  ASSERT_FALSE(cluster->converged());
+
+  const uint64_t fallbacks_before = fallbacks();
+  const sim::Time unmuted = sim.now();
+  while (!cluster->converged() && sim.now() < unmuted + 2 * kRound) {
+    sim.run_until(sim.now() + 500 * sim::kMillisecond);
+  }
+  EXPECT_TRUE(cluster->converged())
+      << "not converged " << sim::to_seconds(sim.now() - unmuted)
+      << " s after the cut ended";
+  EXPECT_GT(fallbacks(), fallbacks_before);
+  net->set_fault_injector(nullptr);
+}
+
 // Regression for the stale-leadership replay family: a leader paused across
 // an election resumes believing it still leads and replays pre-pause state
 // (COORDINATORs, out-log deltas, refresh images). Leadership epochs plus the
@@ -404,57 +475,55 @@ TEST(PauseAcrossElection, StaleLeaderReplayIsFencedOnEveryShape) {
   }
 }
 
-// The digest redesign's equivalence contract: for the same seed and fault
-// schedule, digest-mode anti-entropy must converge every node to exactly
-// the table full-mode converges it to — same members, same incarnations,
-// same replicated entry content. (Timestamps and provenance are local soft
-// state and deliberately out of scope.)
-TEST(FullVsDigest, ConvergeToIdenticalTablesPerSeed) {
-  auto run = [](AntiEntropyMode mode) {
-    sim::Simulation sim(4242);
-    net::Topology topo;
-    net::RackedClusterParams params;
-    params.racks = 3;
-    params.hosts_per_rack = 6;
-    auto layout = net::build_racked_cluster(topo, params);
-    net::Network net(sim, topo);
-    Cluster::Options opts;
-    opts.scheme = Scheme::kHierarchical;
-    opts.hier.refresh_interval = 10 * sim::kSecond;
-    opts.hier.anti_entropy_mode = mode;
-    Cluster cluster(sim, net, layout.hosts, opts);
-    cluster.start_all();
-    sim.run_until(15 * sim::kSecond);
-    // Churn that exercises the anti-entropy paths: a member dies and
-    // returns with a new incarnation, then a (likely) leader dies for good.
-    cluster.kill(4);
-    sim.run_until(sim.now() + 20 * sim::kSecond);
-    cluster.restart(4);
-    sim.run_until(sim.now() + 20 * sim::kSecond);
-    cluster.kill(12);
-    sim.run_until(sim.now() + 40 * sim::kSecond);
-    EXPECT_TRUE(cluster.converged());
+// Ground truth for anti-entropy under churn: after a member dies and
+// returns with a new incarnation and a (likely) leader dies for good, every
+// running daemon's table holds exactly the running daemons' own rows — the
+// same nodes, incarnations and encoded bytes, and nothing else. (Timestamps
+// and provenance are local soft state and deliberately out of scope.)
+TEST(DigestAntiEntropy, TablesEqualRunningRowsAfterChurn) {
+  sim::Simulation sim(4242);
+  net::Topology topo;
+  net::RackedClusterParams params;
+  params.racks = 3;
+  params.hosts_per_rack = 6;
+  auto layout = net::build_racked_cluster(topo, params);
+  net::Network net(sim, topo);
+  Cluster::Options opts;
+  opts.scheme = Scheme::kHierarchical;
+  opts.hier.refresh_interval = 10 * sim::kSecond;
+  Cluster cluster(sim, net, layout.hosts, opts);
+  cluster.start_all();
+  sim.run_until(15 * sim::kSecond);
+  cluster.kill(4);
+  sim.run_until(sim.now() + 20 * sim::kSecond);
+  cluster.restart(4);
+  sim.run_until(sim.now() + 20 * sim::kSecond);
+  cluster.kill(12);
+  sim.run_until(sim.now() + 40 * sim::kSecond);
 
-    std::vector<std::map<membership::NodeId, membership::EntryData>> tables;
-    for (net::HostId host : layout.hosts) {
-      auto* d = static_cast<HierDaemon*>(cluster.daemon_for(host));
-      std::map<membership::NodeId, membership::EntryData> view;
-      if (d != nullptr && d->running()) {
-        for (const auto& [id, entry] : d->table().entries()) {
-          view[id] = entry.data;
-        }
-      }
-      tables.push_back(std::move(view));
+  std::vector<const MembershipDaemon*> running;
+  std::map<membership::NodeId, membership::EntryRef> truth;
+  for (net::HostId host : layout.hosts) {
+    const MembershipDaemon* d = cluster.daemon_for(host);
+    if (d == nullptr || !d->running()) continue;
+    running.push_back(d);
+    truth.emplace(d->self(), membership::EntryRef(d->own_entry()));
+  }
+  ASSERT_EQ(running.size(), layout.hosts.size() - 1);
+  EXPECT_GT(truth.at(layout.hosts[4])->incarnation, 1u);
+
+  for (const MembershipDaemon* d : running) {
+    std::map<membership::NodeId, membership::EntryRef> view;
+    for (const auto& [id, entry] : d->table().entries()) view[id] = entry.data;
+    EXPECT_EQ(view.size(), truth.size()) << "node " << d->self();
+    for (const auto& [id, row] : truth) {
+      auto it = view.find(id);
+      ASSERT_NE(it, view.end()) << "node " << d->self() << " lacks " << id;
+      EXPECT_EQ(it->second->incarnation, row->incarnation)
+          << "node " << d->self() << " row " << id;
+      EXPECT_EQ(it->second.bytes(), row.bytes())
+          << "node " << d->self() << " row " << id;
     }
-    return tables;
-  };
-
-  const auto full = run(AntiEntropyMode::kFull);
-  const auto digest = run(AntiEntropyMode::kDigest);
-  ASSERT_EQ(full.size(), digest.size());
-  for (size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(full[i], digest[i]) << "node index " << i
-                                  << " diverged between anti-entropy modes";
   }
 }
 

@@ -2,20 +2,20 @@
 """CI gate for anti-entropy byte cost at scale.
 
 Reads the committed ``BENCH_scale.json`` (produced by bench/scale_limits)
-and enforces two properties:
+and enforces two properties on its rows, all of them digest anti-entropy:
 
-1. **Ratio floor.** At the largest cluster size measured in both modes, the
-   full-view refresh must cost at least RATIO_FLOOR times the digest
-   exchange in anti-entropy bytes per node per round. This is the headline
-   claim of the incremental-digest redesign; if a change erodes it, the
-   gate fails rather than the number silently decaying.
+1. **Byte ceiling.** Every row, in the baseline and in a ``--fresh``
+   report, must cost at most CEILING bytes per node per round. The ceiling
+   is the last committed full-view refresh cost at 500 nodes (6778.2
+   B/node/round) divided by the 5x floor the full/digest ratio gate used to
+   enforce, so it is exactly as strict as that gate was.
 
 2. **Byte creep.** Given a freshly measured report (``--fresh``), every
-   digest-mode size present in both files must stay within CREEP_TOLERANCE
-   of the committed baseline's bytes/node/round. The sims are
-   deterministic, so an unchanged protocol reproduces the baseline exactly;
-   the tolerance only absorbs intentional small wire-format shifts. Larger
-   regressions require regenerating the baseline deliberately.
+   digest size present in both files must stay within CREEP_TOLERANCE of
+   the committed baseline's bytes/node/round. The sims are deterministic,
+   so an unchanged protocol reproduces the baseline exactly; the tolerance
+   only absorbs intentional small wire-format shifts. Larger regressions
+   require regenerating the baseline deliberately.
 
 Usage:
   tools/check_scale_bytes.py BENCH_scale.json
@@ -28,49 +28,42 @@ Exit codes: 0 ok, 1 gate failure, 2 usage/malformed input.
 import json
 import sys
 
-RATIO_FLOOR = 5.0       # full must cost >= 5x digest, per node per round
+CEILING = 6778.2 / 5    # = 1355.64 B/node/round, any digest row
 CREEP_TOLERANCE = 0.25  # fresh digest bytes may exceed baseline by <= 25%
 
 BYTES_KEY = "anti_entropy_bytes_per_node_per_round"
 
 
-def rows_by_mode(report):
-    """{mode: {nodes: bytes_per_node_per_round}} from a scale report."""
+def digest_rows(report):
+    """{nodes: bytes_per_node_per_round} of a scale report's rows."""
     out = {}
     for row in report.get("results", []):
         try:
-            mode = row["mode"]
             nodes = int(row["nodes"])
             cost = float(row[BYTES_KEY])
         except (KeyError, TypeError, ValueError):
             continue
-        out.setdefault(mode, {})[nodes] = cost
+        out[nodes] = cost
     return out
 
 
-def check_ratio(baseline):
-    full = baseline.get("full", {})
-    digest = baseline.get("digest", {})
-    common = sorted(set(full) & set(digest))
-    if not common:
-        print("check_scale_bytes: no cluster size measured in both modes",
+def check_ceiling(rows, label):
+    if not rows:
+        print(f"check_scale_bytes: {label} has no rows",
               file=sys.stderr)
         return 2
-    nodes = common[-1]
-    if digest[nodes] <= 0.0:
-        ratio = float("inf")
-    else:
-        ratio = full[nodes] / digest[nodes]
-    verdict = "ok" if ratio >= RATIO_FLOOR else "FAIL"
-    print(f"check_scale_bytes: {verdict} — at {nodes} nodes full refresh "
-          f"costs {full[nodes]:.1f} B/node/round vs digest "
-          f"{digest[nodes]:.1f} = {ratio:.1f}x (floor {RATIO_FLOOR:.0f}x)")
-    return 0 if ratio >= RATIO_FLOOR else 1
+    status = 0
+    for nodes in sorted(rows):
+        verdict = "ok" if rows[nodes] <= CEILING else "FAIL"
+        print(f"check_scale_bytes: {verdict} — {label} digest @ {nodes} "
+              f"nodes: {rows[nodes]:.1f} B/node/round (ceiling "
+              f"{CEILING:.1f})")
+        if rows[nodes] > CEILING:
+            status = 1
+    return status
 
 
-def check_creep(baseline, fresh):
-    base = baseline.get("digest", {})
-    new = fresh.get("digest", {})
+def check_creep(base, new):
     common = sorted(set(base) & set(new))
     if not common:
         print("check_scale_bytes: fresh report shares no digest sizes with "
@@ -89,32 +82,35 @@ def check_creep(baseline, fresh):
 
 
 def run(baseline_report, fresh_report):
-    baseline = rows_by_mode(baseline_report)
-    status = check_ratio(baseline)
+    baseline = digest_rows(baseline_report)
+    status = check_ceiling(baseline, "baseline")
     if fresh_report is not None:
-        creep = check_creep(baseline, rows_by_mode(fresh_report))
-        status = max(status, creep)
+        fresh = digest_rows(fresh_report)
+        status = max(status, check_ceiling(fresh, "fresh"),
+                     check_creep(baseline, fresh))
     return status
 
 
 def selftest():
     def report(rows):
         return {"results": [
-            {"nodes": n, "mode": m, BYTES_KEY: b} for n, m, b in rows
+            {"nodes": n, BYTES_KEY: b} for n, b in rows
         ]}
 
-    good = report([(100, "full", 2400.0), (100, "digest", 30.0),
-                   (1000, "full", 9000.0), (1000, "digest", 25.0),
-                   (5000, "digest", 25.0)])  # digest-only tail is fine
-    weak = report([(1000, "full", 100.0), (1000, "digest", 25.0)])
-    crept = report([(100, "digest", 30.0), (1000, "digest", 40.0)])
-    flat = report([(100, "digest", 30.0), (1000, "digest", 25.0)])
+    good = report([(100, 30.0), (1000, 25.0), (5000, 25.0)])
+    heavy = report([(100, 30.0), (1000, 1355.7)])
+    at_ceiling = report([(1000, 1355.6)])
+    crept = report([(100, 30.0), (1000, 40.0)])
+    flat = report([(100, 30.0), (1000, 25.0)])
 
     cases = [
         (good, None, 0),
-        (weak, None, 1),          # 4x < floor
+        (heavy, None, 1),         # 1355.7 > 6778.2 / 5 at 1000 nodes
+        (at_ceiling, None, 0),
         (good, flat, 0),          # creep within tolerance
         (good, crept, 1),         # 40 > 25 * 1.25 at 1000 nodes
+        (heavy, heavy, 1),        # over the ceiling in both reports
+        (at_ceiling, heavy, 1),   # fresh over the ceiling
         ({"results": []}, None, 2),
         (good, {"results": []}, 2),
     ]

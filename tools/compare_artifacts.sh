@@ -6,20 +6,25 @@
 #
 # PARENT_BUILD and CHANGE_BUILD are CMake build directories with the bench/
 # binaries built. For each build it runs
-#   * the full chaos grid (all schemes, shapes and plans, seeds 1-3) once per
-#     --hier-anti-entropy mode (full, digest), writing stdout, the --trace
-#     JSONL and the --metrics JSON;
+#   * the full chaos grid (all schemes, shapes and plans, seeds 1-3),
+#     writing stdout, the --trace JSONL and the --metrics JSON;
 #   * the 48-node hierarchical slice CI runs (all shapes and plans, seeds
-#     1-3) once per mode, with the same three outputs. At 12 nodes few
-#     scenarios run multi-rack digest rounds; at 48 most do;
+#     1-3), with the same three outputs. At 12 nodes few scenarios run
+#     multi-rack digest rounds; at 48 most do;
 #   * the slo_churn slate with --jobs=8 --json;
-# then cmp's every output pair and names the first scenario that differs.
-# The CHANGE_BUILD slo_churn JSON is also compared with the committed
-# BENCH_slo.json.
+# then cmp's every output pair, plus each chaos_soak run's exit status, and
+# names the first scenario that differs. The CHANGE_BUILD slo_churn JSON is
+# also compared with the committed BENCH_slo.json.
+#
+# chaos_soak exits 1 when a scenario fails the oracle; that is a graded
+# outcome and is compared like any other output. A signal or an exit
+# status of 2 or more means a run crashed or was misused and its outputs
+# are truncated, so the script fails whatever the comparison says.
 #
 # Environment: JOBS (chaos grid workers, default nproc) and OUT (output
 # directory, default a fresh temporary one; it is kept for inspection).
-# Exit status: 0 all identical, 1 something differs, 2 usage error.
+# Exit status: 0 all identical, 1 something differs or a run crashed,
+# 2 usage error.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -41,19 +46,30 @@ jobs=${JOBS:-$(nproc)}
 out=${OUT:-$(mktemp -d)}
 mkdir -p "$out/parent" "$out/change"
 
+crashed=0
+# soak BUILD STATUS_FILE FLAGS...: runs BUILD's chaos_soak with FLAGS and
+# writes its exit status to STATUS_FILE; a status of 2 or more (a signal
+# reads as 128 + its number) marks a crash.
+soak() {
+  local build=$1 status_file=$2 status=0
+  shift 2
+  "$build/bench/chaos_soak" "$@" || status=$?
+  echo "$status" > "$status_file"
+  if (( status >= 2 )); then
+    echo "CRASHED $build/bench/chaos_soak $* (exit $status)" >&2
+    crashed=1
+  fi
+}
+
 run_build() {
-  local build=$1 dest=$2 mode
-  for mode in full digest; do
-    "$build/bench/chaos_soak" --scheme=all --shape=all --plan=all --seed=1 \
-      --runs=3 --jobs="$jobs" --hier-anti-entropy="$mode" \
-      --trace="$dest/trace-$mode.jsonl" --metrics="$dest/metrics-$mode.json" \
-      > "$dest/stdout-$mode.txt" || true
-    "$build/bench/chaos_soak" --scheme=hierarchical --shape=all --plan=all \
-      --seed=1 --runs=3 --nodes=48 --jobs="$jobs" --hier-anti-entropy="$mode" \
-      --trace="$dest/trace48-$mode.jsonl" \
-      --metrics="$dest/metrics48-$mode.json" \
-      > "$dest/stdout48-$mode.txt" || true
-  done
+  local build=$1 dest=$2
+  soak "$build" "$dest/status.txt" --scheme=all --shape=all --plan=all \
+    --seed=1 --runs=3 --jobs="$jobs" --trace="$dest/trace.jsonl" \
+    --metrics="$dest/metrics.json" > "$dest/stdout.txt"
+  soak "$build" "$dest/status48.txt" --scheme=hierarchical --shape=all \
+    --plan=all --seed=1 --runs=3 --nodes=48 --jobs="$jobs" \
+    --trace="$dest/trace48.jsonl" --metrics="$dest/metrics48.json" \
+    > "$dest/stdout48.txt"
   "$build/bench/slo_churn" --jobs=8 --json="$dest/slo.json" \
     > "$dest/slo-stdout.txt"
 }
@@ -72,7 +88,7 @@ scenario_at() {
 
 differ=0
 compare() {
-  local a=$1 b=$2 label=${3:-$(basename "$2")} line
+  local a=$1 b=$2 label=${3:-$(basename "$2")} line where
   if cmp -s "$a" "$b"; then
     echo "same    $label"
     return
@@ -81,7 +97,8 @@ compare() {
   line=$({ cmp "$a" "$b" 2>&1 || true; } |
     sed -n 's/.* line \([0-9]*\).*/\1/p')
   if [[ -n $line ]]; then
-    echo "DIFFERS $label at line $line, scenario: $(scenario_at "$b" "$line")"
+    where=$(scenario_at "$b" "$line")
+    echo "DIFFERS $label at line $line${where:+, scenario: $where}"
   else
     echo "DIFFERS $label (one file is a prefix of the other)"
   fi
@@ -92,10 +109,8 @@ run_build "$parent" "$out/parent"
 echo "running $change ..."
 run_build "$change" "$out/change"
 
-for file in stdout-full.txt trace-full.jsonl metrics-full.json \
-            stdout-digest.txt trace-digest.jsonl metrics-digest.json \
-            stdout48-full.txt trace48-full.jsonl metrics48-full.json \
-            stdout48-digest.txt trace48-digest.jsonl metrics48-digest.json \
+for file in stdout.txt trace.jsonl metrics.json status.txt \
+            stdout48.txt trace48.jsonl metrics48.json status48.txt \
             slo.json slo-stdout.txt; do
   compare "$out/parent/$file" "$out/change/$file"
 done
@@ -104,4 +119,8 @@ if [[ -f "$repo/BENCH_slo.json" ]]; then
     "slo.json vs committed BENCH_slo.json"
 fi
 echo "outputs kept in $out"
+if (( crashed )); then
+  echo "a chaos_soak run crashed; its outputs are truncated" >&2
+  exit 1
+fi
 exit "$differ"
